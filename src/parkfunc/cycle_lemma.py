@@ -16,6 +16,7 @@ import random
 from typing import NamedTuple
 
 from .core import _as_word, _check_range, is_prime_parking_function
+from .errors import InvariantError
 
 
 class ScoreVector(NamedTuple):
@@ -45,7 +46,8 @@ def scores(q):
     total = sum(q)
     values = tuple(total - n * q[i] + i * (n - 1) for i in range(n))
     best = min(values)
-    assert values.count(best) == 1, "score tie: minimizer must be unique"
+    if values.count(best) != 1:
+        raise InvariantError(f"score tie for {q}: the minimizer must be unique")
     return ScoreVector(values=values, argmin=values.index(best) + 1)
 
 
@@ -69,7 +71,8 @@ def decompose(word):
     q = tuple(sorted(word))
     k = q[scores(q).argmin - 1]
     b = _shift_down(word, k, n - 1)
-    assert is_prime_parking_function(b), "decomposition produced a non-prime word"
+    if not is_prime_parking_function(b):
+        raise InvariantError(f"decompose({word}) produced the non-prime word {b}")
     return Decomposition(k=k, b=b)
 
 

@@ -10,6 +10,14 @@ class GuardRangeError(ValueError):
     """
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: the library is wrong, not its input.
+
+    Raised in place of ``assert`` so the check survives ``python -O``.  It
+    is deliberately not a ``ValueError``, which the CLI reports as bad input.
+    """
+
+
 def check_guard(name, n, lo, hi, force=False):
     if not force and not lo <= n <= hi:
         raise GuardRangeError(

@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import parkfunc
+
+SRC = str(Path(parkfunc.__file__).resolve().parent.parent)
 
 # The fifteen-car worked example threaded through the whole library:
 # a parking function whose decomposition has shift 10, together with the
@@ -18,3 +27,15 @@ def word15():
 @pytest.fixture
 def prime15():
     return PRIME15
+
+
+def run_python(*args):
+    """Run a fresh interpreter, with this checkout of parkfunc importable."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )

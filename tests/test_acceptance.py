@@ -84,7 +84,7 @@ def test_criterion_4_rotated_streets():
 
 def test_criterion_5_shi_regions():
     ok = True
-    for n in range(2, 6):
+    for n in range(2, 7):
         start = time.perf_counter()
         regions = enumerate_regions(n)
         labels = [r.label for r in regions]
@@ -103,7 +103,7 @@ def test_criterion_5_shi_regions():
             ok &= set(bounded) == BOUNDED3
         if n == 5:
             ok &= time.perf_counter() - start < 300
-    report(5, "region labels and bounded labels for n=2..5", ok)
+    report(5, "region labels and bounded labels for n=2..6", ok)
 
 
 def test_criterion_6_equivalences():

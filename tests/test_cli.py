@@ -5,7 +5,7 @@ import pytest
 
 from parkfunc import format_word
 from parkfunc.cli import render_street, run
-from conftest import CARS_PRIME15, CARS_STANDARD15, PRIME15, SHIFT15, WORD15
+from conftest import CARS_PRIME15, CARS_STANDARD15, PRIME15, SHIFT15, WORD15, run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 WORD15_ARG = format_word(WORD15)
@@ -234,3 +234,9 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
+
+    def test_python_dash_m_runs_the_cli(self):
+        done = run_python("-m", "parkfunc", "check", "--word", "1,1,2", "--json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["result"] is True
+        assert run_python("-m", "parkfunc", "check", "--word", "3,3,3").returncode == 1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parkfunc import (
+    InvariantError,
     all_words,
     decompose,
     is_prime_parking_function,
@@ -12,7 +13,7 @@ from parkfunc import (
     sorted_rearrangement,
 )
 from parkfunc.cycle_lemma import _shift_down
-from conftest import PRIME15, SHIFT15, WORD15
+from conftest import PRIME15, SHIFT15, WORD15, run_python
 
 
 def brute_force_shift(word):
@@ -105,6 +106,30 @@ class TestDecompose:
         for a in all_words(n - 1, n):
             b_sorted = sorted_rearrangement(decompose(a).b)
             assert all(x <= m for x, m in zip(b_sorted, bound))
+
+    def test_non_prime_result_raises_under_optimize(self):
+        # A bare assert would vanish under -O; the invariant check must not.
+        script = (
+            "import sys\n"
+            "import parkfunc.cycle_lemma as cl\n"
+            "from parkfunc import InvariantError\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('not running under -O')\n"
+            "cl.is_prime_parking_function = lambda word: False\n"
+            "try:\n"
+            "    cl.decompose((2, 1, 2))\n"
+            "except InvariantError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    sys.exit('decompose returned')\n"
+        )
+        done = run_python("-O", "-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("decompose((2, 1, 2)) produced")
+
+    def test_invariant_error_is_not_bad_input(self):
+        # The CLI maps ValueError to "invalid input"; a broken invariant is not.
+        assert not issubclass(InvariantError, ValueError)
 
     @given(st.integers(2, 64).flatmap(
         lambda n: st.lists(st.integers(1, n - 1), min_size=n, max_size=n)

@@ -1,8 +1,10 @@
+"""The Fourier-Motzkin oracle that the Shi engine is cross-checked against."""
+
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from parkfunc.feasibility import (
+from fm_oracle import (
     Constraint,
     at_most,
     equal_to,

@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from parkfunc import (
     GuardRangeError,
+    InvariantError,
     SignVector,
     all_words,
     base_region,
@@ -17,7 +19,9 @@ from parkfunc import (
     is_prime_parking_function,
     verify_pak_stanley,
 )
-from parkfunc.shi import Hyperplane, satisfies
+from parkfunc import shi
+from parkfunc.shi import Hyperplane, _walls, satisfies
+from fm_oracle import at_most, equal_to, less_than, satisfiable
 
 # The sixteen labels of the three-car arrangement, and the four bounded ones.
 LABELS3 = {
@@ -26,6 +30,53 @@ LABELS3 = {
     (3, 1, 2), (2, 1, 1), (3, 1, 1), (3, 2, 1),
 }
 BOUNDED3 = {(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)}
+
+
+# Ground truth: each region as general rational constraints, settled by the
+# Fourier-Motzkin oracle exactly as the library did before it switched to
+# difference-constraint graphs.
+def _unit_diff(n, i, j):
+    coeffs = [0] * n
+    coeffs[i - 1] = 1
+    coeffs[j - 1] = -1
+    return tuple(coeffs)
+
+
+def oracle_is_feasible(sv):
+    region = []
+    for hp, s in zip(hyperplanes(sv.n), sv.signs):
+        if s > 0:  # x_i - x_j > k
+            region.append(less_than(_unit_diff(sv.n, hp.j, hp.i), -hp.k))
+        else:  # x_i - x_j < k
+            region.append(less_than(_unit_diff(sv.n, hp.i, hp.j), hp.k))
+    return satisfiable(region, sv.n)
+
+
+def oracle_is_bounded(sv):
+    """No recession direction has d_p - d_q = 1 for any ordered pair (p, q)."""
+    cone = []
+    for hp, s in zip(hyperplanes(sv.n), sv.signs):
+        if s > 0:  # d_i - d_j >= 0
+            cone.append(at_most(_unit_diff(sv.n, hp.j, hp.i), 0))
+        else:
+            cone.append(at_most(_unit_diff(sv.n, hp.i, hp.j), 0))
+    return not any(
+        satisfiable(cone + equal_to(_unit_diff(sv.n, p, q), 1), sv.n)
+        for p in range(1, sv.n + 1)
+        for q in range(1, sv.n + 1)
+        if p != q
+    )
+
+
+def all_sign_vectors(n):
+    for signs in itertools.product((1, -1), repeat=n * (n - 1)):
+        yield SignVector(n, signs)
+
+
+@lru_cache(maxsize=None)
+def oracle_regions(n):
+    """The sign tuples of every nonempty region, by a full oracle scan."""
+    return frozenset(sv.signs for sv in all_sign_vectors(n) if oracle_is_feasible(sv))
 
 
 class TestHyperplanes:
@@ -54,12 +105,20 @@ class TestFeasibility:
         assert feasible_point(SignVector.from_string(2, "-+")) is None
 
     def test_sixteen_of_sixtyfour_at_three(self):
-        feasible = [
-            signs
-            for signs in itertools.product((1, -1), repeat=6)
-            if is_feasible(SignVector(3, signs))
-        ]
-        assert len(feasible) == 16
+        assert len(oracle_regions(3)) == 16
+        feasible = {sv.signs for sv in all_sign_vectors(3) if is_feasible(sv)}
+        assert feasible == oracle_regions(3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_engine_agrees_with_fourier_motzkin(self, n):
+        for sv in all_sign_vectors(n):
+            feasible = sv.signs in oracle_regions(n)
+            assert is_feasible(sv) == feasible, sv.as_string()
+            if feasible:
+                assert is_bounded(sv) == oracle_is_bounded(sv), sv.as_string()
+                assert satisfies(sv, feasible_point(sv)), sv.as_string()
+            else:
+                assert feasible_point(sv) is None, sv.as_string()
 
     def test_base_region_witness(self):
         for n in (2, 3, 4, 5):
@@ -127,15 +186,25 @@ class TestRegions:
                 rebuilt[coord - 1] += 1
             assert tuple(rebuilt) == r.label
 
-    def test_bfs_reaches_every_feasible_sign_vector(self):
-        for n in (2, 3):
-            found = {r.sign_vector.signs for r in enumerate_regions(n)}
-            full_scan = {
-                signs
-                for signs in itertools.product((1, -1), repeat=n * (n - 1))
-                if is_feasible(SignVector(n, signs))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_walls_are_the_feasible_flips(self, n):
+        for signs in oracle_regions(n):
+            flips = {
+                idx
+                for idx in range(len(signs))
+                if signs[:idx] + (-signs[idx],) + signs[idx + 1:] in oracle_regions(n)
             }
-            assert found == full_scan
+            assert set(_walls(n, signs)) == flips, SignVector(n, signs).as_string()
+
+    def test_bfs_reaches_every_feasible_sign_vector(self):
+        for n in (2, 3, 4):
+            found = {r.sign_vector.signs for r in enumerate_regions(n)}
+            assert found == oracle_regions(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_output_ordered_by_depth_then_signs(self, n):
+        keys = [(r.bfs_depth, r.sign_vector.as_string()) for r in enumerate_regions(n)]
+        assert keys == sorted(keys)
 
     def test_deterministic_output_order(self):
         first = [r.sign_vector.as_string() for r in enumerate_regions(3)]
@@ -144,9 +213,14 @@ class TestRegions:
         depths = [r.bfs_depth for r in enumerate_regions(3)]
         assert depths == sorted(depths)
 
+    def test_walk_into_an_empty_region_raises(self, monkeypatch):
+        monkeypatch.setattr(shi, "_distances", lambda n, edges: None)
+        with pytest.raises(InvariantError, match=r"empty region \+- \(n=2\)"):
+            enumerate_regions(2)
+
     def test_guard(self):
         with pytest.raises(GuardRangeError):
-            enumerate_regions(6)
+            enumerate_regions(7)
         with pytest.raises(GuardRangeError):
             verify_pak_stanley(7)
 
