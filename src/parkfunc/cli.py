@@ -8,6 +8,7 @@ failed verification/simulation, 2 invalid input, 3 guard-range violation.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -224,7 +225,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_strip)
 
     p = sub.add_parser("count", parents=[common],
-                       help="brute-force count against the closed form")
+                       help="exhaustive count against the closed form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prime", action="store_true")
     p.set_defaults(handler=_cmd_count)
@@ -267,4 +268,13 @@ def run(argv=None):
 
 
 def main():
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (e.g. piped into head).  Point it at devnull
+        # so the flush at interpreter exit cannot fail again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        raise SystemExit(1)
+    raise SystemExit(code)

@@ -154,21 +154,38 @@ def simulate(word, street):
     """
     word = _as_word(word)
     street = _as_word(street, what="street")
-    first_pos = {}
-    for pos, label in enumerate(street):
-        first_pos.setdefault(label, pos)
+    first_pos = _first_positions(street)
     for x in word:
         if x not in first_pos:
             raise ValueError(f"preference {x} does not appear on the street")
+    assignment, failed_car = _park(word, first_pos, len(street))
+    return ParkOutcome(
+        success=failed_car is None, assignment=assignment, failed_car=failed_car
+    )
 
-    taken = [False] * len(street)
-    parked = [None] * len(street)
+
+def _first_positions(street):
+    """Map each label of a street to the leftmost position carrying it."""
+    first_pos = {}
+    for pos, label in enumerate(street):
+        first_pos.setdefault(label, pos)
+    return first_pos
+
+
+def _park(word, first_pos, size):
+    """The parking process without input checks: ``(assignment, failed_car)``.
+
+    ``first_pos`` comes from ``_first_positions`` of a street of ``size``
+    spots and must map every preference in ``word``.  Exactly one of the two
+    results is None: the assignment when a car leaves the street, the failed
+    car when every car parks.
+    """
+    parked = [None] * size
     for car, pref in enumerate(word, start=1):
         pos = first_pos[pref]
-        while pos < len(street) and taken[pos]:
+        while pos < size and parked[pos] is not None:
             pos += 1
-        if pos == len(street):
-            return ParkOutcome(success=False, failed_car=car)
-        taken[pos] = True
+        if pos == size:
+            return None, car
         parked[pos] = car
-    return ParkOutcome(success=True, assignment=tuple(parked))
+    return tuple(parked), None

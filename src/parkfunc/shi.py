@@ -21,7 +21,6 @@ exactly when the strict system is empty.  All distances are plain ints;
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -143,6 +142,8 @@ def feasible_point(sv):
     x_v - x_u <= w = c*(n+1) - 1 on every edge, so x / (n+1) has
     x_v - x_u <= c - 1/(n+1) < c.
     """
+    from fractions import Fraction  # imported here to keep it out of CLI start-up
+
     dist = _distances(sv.n, _edges(sv.n, sv.signs))
     if dist is None:
         return None
@@ -153,6 +154,8 @@ def feasible_point(sv):
 
 def satisfies(sv, point):
     """Directly check that a rational point lies inside the region."""
+    from fractions import Fraction
+
     for hp, s in zip(hyperplanes(sv.n), sv.signs):
         value = Fraction(point[hp.i - 1]) - Fraction(point[hp.j - 1]) - hp.k
         if (value <= 0) if s > 0 else (value >= 0):

@@ -29,12 +29,17 @@ def prime15():
     return PRIME15
 
 
+def python_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_python(*args):
     """Run a fresh interpreter, with this checkout of parkfunc importable."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=python_env(),
         capture_output=True,
         text=True,
         timeout=60,

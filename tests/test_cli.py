@@ -1,11 +1,15 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from parkfunc import format_word
 from parkfunc.cli import render_street, run
-from conftest import CARS_PRIME15, CARS_STANDARD15, PRIME15, SHIFT15, WORD15, run_python
+from conftest import (
+    CARS_PRIME15, CARS_STANDARD15, PRIME15, SHIFT15, WORD15, python_env, run_python,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 WORD15_ARG = format_word(WORD15)
@@ -240,3 +244,25 @@ class TestUsage:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["result"] is True
         assert run_python("-m", "parkfunc", "check", "--word", "3,3,3").returncode == 1
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # As in `parkfunc sample ... | head -1`: the reader leaves after a line,
+        # while the output is far larger than the pipe's buffer.
+        with open(tmp_path / "stderr", "w+") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "parkfunc", "sample", "--n", "6",
+                 "--seed", "1", "--count", "20000"],
+                env=python_env(), stdout=subprocess.PIPE, stderr=err, text=True)
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err.seek(0)
+            assert err.read() == ""
+        assert first.count(",") == 5
+        assert code == 1
+
+    def test_import_leaves_fractions_out(self):
+        # Only the Shi witness points need fractions (and decimal behind it).
+        done = run_python("-S", "-c", "import sys, parkfunc, parkfunc.cli; "
+                          "print('fractions' in sys.modules)")
+        assert done.stdout == "False\n", done.stderr

@@ -1,15 +1,22 @@
+import dataclasses
 import json
 
 import pytest
 
+import parkfunc.enumeration
+import word_oracle
 from parkfunc import (
     GuardRangeError,
     all_words,
     count_parking_functions,
     count_prime_parking_functions,
+    decompose,
+    is_parking_function,
+    is_prime_parking_function,
     verify_bijection,
     verify_proposition,
 )
+from parkfunc.cycle_lemma import _shift_down
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
 PPF_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27, 5: 256}
@@ -67,10 +74,10 @@ def test_verify_proposition(n):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: count_parking_functions(9),
+        lambda: count_parking_functions(11),
         lambda: count_prime_parking_functions(12),
-        lambda: verify_bijection(7),
-        lambda: verify_proposition(6),
+        lambda: verify_bijection(9),
+        lambda: verify_proposition(7),
     ],
 )
 def test_guard_ranges(call):
@@ -79,10 +86,94 @@ def test_guard_ranges(call):
 
 
 def test_guard_is_overridable():
-    assert verify_proposition(6, force=True)
+    assert verify_bijection(9, force=True)
 
 
 def test_nonsense_n_is_invalid_not_guarded():
     with pytest.raises(ValueError) as exc:
         count_parking_functions(0)
     assert not isinstance(exc.value, GuardRangeError)
+
+
+# The orbit oracles against the word-by-word scans in word_oracle.py.
+
+
+def _tally(report):
+    return {k: v for k, v in dataclasses.asdict(report).items() if k != "elapsed"}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("name", ["count_parking_functions",
+                                  "count_prime_parking_functions"])
+def test_counts_agree_with_word_scan(name, n):
+    orbit = getattr(parkfunc.enumeration, name)(n)
+    assert _tally(orbit) == _tally(getattr(word_oracle, name)(n))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bijection_agrees_with_word_scan(n):
+    assert verify_bijection(n) is word_oracle.verify_bijection(n) is True
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_proposition_agrees_with_word_scan(n):
+    expected = word_oracle.verify_proposition(n, force=True)
+    assert verify_proposition(n) is expected is True
+
+
+def _shift_moved(decompose):
+    """decompose with k moved to the next shift: the congruence breaks."""
+
+    def wrong(word):
+        right = decompose(word)
+        return right._replace(k=right.k % (len(word) - 1) + 1)
+
+    return wrong
+
+
+@pytest.mark.parametrize("oracle", ["verify_bijection", "verify_proposition"])
+def test_wrong_shift_fails_both_verifiers(monkeypatch, oracle):
+    for module in (parkfunc.enumeration, word_oracle):
+        monkeypatch.setattr(module, "decompose", _shift_moved(decompose))
+    assert getattr(parkfunc.enumeration, oracle)(4) is False
+    assert getattr(word_oracle, oracle)(4) is False
+
+
+# Word-by-word checks of the two facts the orbit oracles rest on.
+
+
+def _not_order_invariant(fn, words):
+    """The first word on which fn disagrees with fn of its sorted word."""
+    return next((w for w in words if fn(w) != fn(tuple(sorted(w)))), None)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("predicate", [is_parking_function, is_prime_parking_function])
+def test_predicates_read_only_the_sorted_word(predicate, n):
+    word = _not_order_invariant(predicate, all_words(n, n))
+    assert word is None, f"{predicate.__name__} differs on {word} and its sorted word"
+
+
+def _not_equivariant(decompose, n):
+    """The first word w with decompose(w) != (k of sorted(w), w shifted by k)."""
+    m = n - 1
+    for w in all_words(m, n):
+        k = decompose(tuple(sorted(w))).k
+        if tuple(decompose(w)) != (k, _shift_down(w, k, m)):
+            return w
+    return None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_decompose_is_equivariant(n):
+    word = _not_equivariant(decompose, n)
+    assert word is None, f"decompose is not equivariant at {word}"
+
+
+def test_equivariance_check_catches_a_decompose_wrong_off_sorted_words():
+    moved = _shift_moved(decompose)
+
+    def wrong(word):
+        return decompose(word) if list(word) == sorted(word) else moved(word)
+
+    assert _not_equivariant(wrong, 3) == (1, 2, 1)

@@ -1,0 +1,121 @@
+"""Word-by-word oracles: the ground truth for ``parkfunc.enumeration``.
+
+Each scan applies the public predicates, ``simulate`` and ``decompose`` to
+every word of its space, with no use of the orbit reduction that the library
+oracles rest on.  ``tests/test_enumeration.py`` checks that the library
+returns the same answers for every n these scans reach at desk speed.
+"""
+
+import time
+
+from parkfunc import (
+    CountReport,
+    all_words,
+    decompose,
+    is_parking_function,
+    is_prime_parking_function,
+    recompose,
+    rotated_street,
+    simulate,
+)
+from parkfunc.cycle_lemma import _shift_down
+from parkfunc.errors import check_guard
+
+
+def count_parking_functions(n, force=False):
+    """Scan all n^n words of [n]^n and count the parking functions.
+
+    The closed form is (n+1)^(n-1).  Guarded to n <= 8 (the scan is n^n).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    check_guard("count_parking_functions", n, 1, 8, force)
+    start = time.perf_counter()
+    matching = sum(1 for w in all_words(n, n) if is_parking_function(w))
+    elapsed = time.perf_counter() - start
+    formula = (n + 1) ** (n - 1)
+    return CountReport(
+        n=n,
+        total_words=n**n,
+        matching=matching,
+        formula_value=formula,
+        agrees=matching == formula,
+        elapsed=elapsed,
+    )
+
+
+def count_prime_parking_functions(n, force=False):
+    """Scan all (n-1)^n words of [n-1]^n and count the prime parking functions.
+
+    The closed form is (n-1)^(n-1).  For n = 1 the scan space [0]^1 is empty
+    but (1,) is prime by convention, so the word (1,) is scanned instead and
+    the count is 1 = 0^0.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    check_guard("count_prime_parking_functions", n, 1, 8, force)
+    start = time.perf_counter()
+    if n == 1:
+        total, matching = 1, int(is_prime_parking_function((1,)))
+    else:
+        total = (n - 1) ** n
+        matching = sum(1 for w in all_words(n - 1, n) if is_prime_parking_function(w))
+    elapsed = time.perf_counter() - start
+    formula = (n - 1) ** (n - 1)
+    return CountReport(
+        n=n,
+        total_words=total,
+        matching=matching,
+        formula_value=formula,
+        agrees=matching == formula,
+        elapsed=elapsed,
+    )
+
+
+def verify_bijection(n, force=False):
+    """Exhaustively check the shift decomposition over every word of [n-1]^n.
+
+    For each word: the decomposition's b must be prime, satisfy the
+    congruence a_i = b_i + k - 1 (mod n-1), recompose back to the word, and
+    its k must be the only shift in [n-1] whose shifted word is prime.
+    Finally the (k, b) pairs must cover [n-1] x PPF_n exactly once each.
+    """
+    check_guard("verify_bijection", n, 2, 6, force)
+    m = n - 1
+    seen = set()
+    for a in all_words(m, n):
+        k, b = decompose(a)
+        if not is_prime_parking_function(b):
+            return False
+        if any((a[i] - b[i] - k + 1) % m != 0 for i in range(n)):
+            return False
+        if recompose(b, k) != a:
+            return False
+        prime_shifts = [
+            kk for kk in range(1, m + 1)
+            if is_prime_parking_function(_shift_down(a, kk, m))
+        ]
+        if prime_shifts != [k]:
+            return False
+        if (k, b) in seen:
+            return False
+        seen.add((k, b))
+    primes = {w for w in all_words(m, n) if is_prime_parking_function(w)}
+    wanted = {(k, b) for k in range(1, m + 1) for b in primes}
+    return seen == wanted
+
+
+def verify_proposition(n, force=False):
+    """Check that each word of [n-1]^n parks on exactly one rotated street.
+
+    Exactly one rotation k in [n-1] of the street
+    k, k, k+1, ..., n-1, 1, ..., k-1 lets every car park, and that rotation
+    is the decomposition's shift.
+    """
+    check_guard("verify_proposition", n, 2, 5, force)
+    streets = {k: rotated_street(n, k) for k in range(1, n)}
+    for a in all_words(n - 1, n):
+        winners = [k for k, street in streets.items() if simulate(a, street).success]
+        if winners != [decompose(a).k]:
+            return False
+    return True
