@@ -7,6 +7,7 @@ failed verification/simulation, 2 invalid input, 3 guard-range violation.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .core import (
     standard_street,
     strip_first_one,
 )
-from .cycle_lemma import decompose, recompose, sample_primes
+from .cycle_lemma import decompose, iter_primes, recompose, sample_primes
 from .enumeration import count_parking_functions, count_prime_parking_functions
 from .enumeration import verify_bijection, verify_proposition
 from .errors import GuardRangeError
@@ -153,14 +154,20 @@ def _cmd_sample(args):
         if args.json:
             raise ValueError("--seed is required with --json for reproducibility")
         seed = time.time_ns()
+    if not args.json:
+        # Print each word as it is drawn, so a reader that stops early (as
+        # `| head`) stops the draws too, and memory does not grow with --count.
+        for word in itertools.islice(iter_primes(args.n, seed), args.count):
+            print(format_word(word))
+        return 0
     words = sample_primes(args.n, seed, args.count)
-    _emit(args, "\n".join(format_word(w) for w in words), {
+    print(json.dumps({
         "command": "sample",
         "n": args.n,
         "seed": seed,
         "count": args.count,
         "words": [list(w) for w in words],
-    })
+    }))
     return 0
 
 

@@ -47,7 +47,7 @@ def parse_word(text):
         raise ValueError("empty word literal")
     word = []
     for p in parts:
-        if not p.isdigit() or int(p) < 1:
+        if not p.isdecimal() or int(p) < 1:
             raise ValueError(f"bad word entry {p!r}: expected a positive integer")
         word.append(int(p))
     return tuple(word)

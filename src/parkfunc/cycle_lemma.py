@@ -12,6 +12,7 @@ a uniform word through the decomposition yields an exactly uniform prime
 parking function.
 """
 
+import itertools
 import random
 from typing import NamedTuple
 
@@ -43,6 +44,12 @@ def scores(q):
     _check_range(q, n - 1)
     if any(q[i] > q[i + 1] for i in range(n - 1)):
         raise ValueError("scores expect a nondecreasing word")
+    return _scores(q)
+
+
+def _scores(q):
+    """``scores`` without input checks: q is a nondecreasing word over [n-1], n >= 2."""
+    n = len(q)
     total = sum(q)
     values = tuple(total - n * q[i] + i * (n - 1) for i in range(n))
     best = min(values)
@@ -69,7 +76,7 @@ def decompose(word):
         raise ValueError("decompose needs a word of length >= 2")
     _check_range(word, n - 1)
     q = tuple(sorted(word))
-    k = q[scores(q).argmin - 1]
+    k = q[_scores(q).argmin - 1]
     b = _shift_down(word, k, n - 1)
     if not is_prime_parking_function(b):
         raise InvariantError(f"decompose({word}) produced the non-prime word {b}")
@@ -88,24 +95,32 @@ def recompose(b, k):
     return tuple((x + k - 2) % (n - 1) + 1 for x in b)
 
 
-def sample_primes(n, seed, count):
-    """Draw `count` independent uniform prime parking functions of length n.
+def iter_primes(n, seed):
+    """Uniform prime parking functions of length n, drawn one at a time.
 
-    Uses ``random.Random(seed)`` (Mersenne Twister) so a fixed (n, seed,
-    count) always yields the same words.  Each draw picks a uniform word in
-    [n-1]^n and decomposes it; by the uniqueness of the decomposition the
-    image is exactly uniform over the (n-1)^(n-1) prime parking functions.
+    An endless iterator over ``random.Random(seed)`` (Mersenne Twister), so a
+    fixed (n, seed) always yields the same words in the same order.  Each
+    draw picks a uniform word in [n-1]^n and decomposes it; by the uniqueness
+    of the decomposition the image is exactly uniform over the (n-1)^(n-1)
+    prime parking functions.  n is checked here, before the first draw.
     """
     if n < 2:
         raise ValueError("sampling needs n >= 2")
+    rng = random.Random(seed)
+
+    def draws():
+        while True:
+            word = tuple(rng.randint(1, n - 1) for _ in range(n))
+            yield decompose(word).b
+
+    return draws()
+
+
+def sample_primes(n, seed, count):
+    """The first `count` words of ``iter_primes(n, seed)``, as a list."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        word = tuple(rng.randint(1, n - 1) for _ in range(n))
-        out.append(decompose(word).b)
-    return out
+    return list(itertools.islice(iter_primes(n, seed), count))
 
 
 def sample_prime(n, seed):

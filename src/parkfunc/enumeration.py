@@ -17,7 +17,12 @@ by word for small n, and checks these oracles against full word scans.
 
 The proposition is checked word by word: whether a word parks on a rotated
 street regardless of the order of its cars is part of what it asserts, so
-the orbit reduction is not used there.
+the orbit reduction is not used there.  The scan shares work between words
+instead, on two facts of the parking process.  It is online: the spots taken
+by the first i cars depend only on those i cars, so a depth-first walk over
+the odometer tree parks each prefix once per street and every word below it
+inherits that state.  And after n-1 cars on n spots one spot h is left, so
+the last car parks iff the first position of its preference is at most h.
 """
 
 import itertools
@@ -25,7 +30,7 @@ import math
 import time
 from dataclasses import dataclass, asdict
 
-from .core import _first_positions, _park, rotated_street
+from .core import _first_positions, rotated_street
 # bench/tracer.py patches these names here, so they stay even when unused.
 from .core import is_parking_function, is_prime_parking_function, simulate  # noqa: F401
 from .cycle_lemma import _shift_down, decompose, recompose
@@ -183,14 +188,54 @@ def verify_proposition(n, force=False):
     is the decomposition's shift.  Every word is parked on every street, so
     nothing is assumed about the order of the cars.  The expected shift is
     looked up by sorted word, from public decompose on each sorted word,
-    since decompose reads k from the sorted word.  Guarded to n <= 6.
+    since decompose reads k from the sorted word.
+
+    The words are walked depth first in odometer order.  For each street
+    the walk carries the bitmask of occupied spots, or None once a car has
+    left it; parking is online, so each prefix is parked once per street
+    rather than once per word.  At depth n-1 a live street has one free
+    spot h, and the last car parks there iff its preference's first
+    position is at most h: ``admits[s][h]`` lists those preferences.
+    Guarded to n <= 7.
     """
-    check_guard("verify_proposition", n, 2, 6, force)
+    check_guard("verify_proposition", n, 2, 7, force)
     m = n - 1
     shift_of = {q: decompose(q).k for q, _ in _orbits(m, n)}
-    streets = [(k, _first_positions(rotated_street(n, k))) for k in range(1, n)]
-    for a in all_words(m, n):
-        winners = [k for k, first_pos in streets if _park(a, first_pos, n)[1] is None]
-        if winners != [shift_of[tuple(sorted(a))]]:
-            return False
-    return True
+    first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]
+    full = (1 << n) - 1
+    at_or_after = [full & -(1 << pos) for pos in range(n)]
+    admits = [
+        [[p for p in range(1, n) if fp[p] <= h] for h in range(n)] for fp in first
+    ]
+    streets = range(m)
+    labels = range(1, n)
+
+    def last_car(prefix, masks):
+        owner = [0] * n  # owner[p]: the rotation k that prefix + (p,) parks on, or 0
+        for s in streets:
+            mask = masks[s]
+            if mask is not None:
+                for p in admits[s][(full ^ mask).bit_length() - 1]:
+                    if owner[p]:
+                        return False
+                    owner[p] = s + 1
+        return all(owner[p] == shift_of[tuple(sorted(prefix + [p]))] for p in labels)
+
+    def walk(prefix, masks):
+        if len(prefix) == m:
+            return last_car(prefix, masks)
+        for p in labels:
+            parked = []
+            for s in streets:
+                mask = masks[s]
+                if mask is not None:
+                    free = at_or_after[first[s][p]] & ~mask
+                    mask = mask | (free & -free) if free else None
+                parked.append(mask)
+            prefix.append(p)
+            if not walk(prefix, parked):
+                return False
+            prefix.pop()
+        return True
+
+    return walk([], [0] * m)

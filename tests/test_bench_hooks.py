@@ -1,21 +1,56 @@
-"""The benchmark's tracer wraps library functions where their callers look
-them up; every name it patches must exist, or `bench/run.py --trace 1` fails
-on every workload."""
+"""The benchmark reaches the library through names it patches and checks
+every answer against its own reference; a library change that breaks either
+makes `bench/run.py` fail, so both are checked here on small inputs."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# Modules of bench/ that run.py and workloads.py import by their bare names.
+SIBLINGS = ("tracer", "reference")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    yield _load("run"), _load("workloads")
+    for name in SIBLINGS:
+        sys.modules.pop(name, None)
 
 
 def test_every_patch_point_exists():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     missing = [
         f"{module}.{attr}"
         for module, attr, *_ in tracer.PATCH_POINTS
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_traced_workloads_pass_their_checks(bench):
+    run, workloads = bench
+    mix = {(kind, 8): 1 for kind in workloads.WordRequests.kinds}
+    # Each workload with a counter of a call the library makes inside it.
+    cases = [
+        (workloads.ShiWalk(1, n=3), "shi.is_bounded.calls"),
+        (workloads.OracleScan(1, count_n=4, verify_n=4), "cycle_lemma.decompose.calls"),
+        (workloads.WordRequests(1, mix), "cli.build_parser.ms"),
+    ]
+    for workload, counter in cases:
+        runs, layers, _ = run.run_workload(workload, 0, trace=True)
+        failures = [r.first_failure for r in runs if r.failed]
+        assert failures == [], workload.name
+        assert sum(r.attempted for r in runs) == 2 * len(workload.ops)
+        assert layers[counter] > 0, workload.name

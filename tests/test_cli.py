@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import parkfunc.cycle_lemma
 from parkfunc import format_word
 from parkfunc.cli import render_street, run
 from conftest import (
@@ -65,6 +67,12 @@ class TestCheck:
         code, _, err = invoke(capsys, "check", "--word", "1,5,1")
         assert code == 2
         assert "error" in err
+
+    def test_non_decimal_digit_is_a_bad_entry(self, capsys):
+        # '²'.isdigit() is true, but int() rejects it.
+        code, _, err = invoke(capsys, "check", "--word", "1,²")
+        assert code == 2
+        assert err.startswith("error: bad word entry '²'")
 
     def test_json_record(self, capsys):
         code, out, _ = invoke(capsys, "check", "--word", "1,1", "--json")
@@ -198,6 +206,38 @@ class TestSample:
         record = json.loads(out)
         assert record["seed"] == 11
         assert len(record["words"]) == 2
+
+    def test_text_and_json_draw_the_same_words(self, capsys):
+        argv = ("sample", "--n", "7", "--seed", "5", "--count", "30")
+        _, text, _ = invoke(capsys, *argv)
+        _, blob, _ = invoke(capsys, *argv, "--json")
+        words = json.loads(blob)["words"]
+        assert text.splitlines() == [format_word(w) for w in words]
+
+    def test_text_mode_draws_as_it_prints(self, monkeypatch):
+        drawn = 0
+        decompose = parkfunc.cycle_lemma.decompose
+
+        def counted(word):
+            nonlocal drawn
+            drawn += 1
+            return decompose(word)
+
+        class OneLinePipe(io.StringIO):
+            """A stdout whose reader leaves after the first line."""
+
+            def write(self, text):
+                if "\n" in self.getvalue():
+                    raise BrokenPipeError
+                return super().write(text)
+
+        out = OneLinePipe()
+        monkeypatch.setattr(parkfunc.cycle_lemma, "decompose", counted)
+        monkeypatch.setattr(sys, "stdout", out)
+        with pytest.raises(BrokenPipeError):
+            run(["sample", "--n", "6", "--seed", "1", "--count", "100000"])
+        assert out.getvalue().count("\n") == 1
+        assert drawn <= 2
 
 
 class TestShi:

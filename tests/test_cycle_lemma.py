@@ -6,6 +6,7 @@ from parkfunc import (
     all_words,
     decompose,
     is_prime_parking_function,
+    iter_primes,
     recompose,
     sample_prime,
     sample_primes,
@@ -166,6 +167,14 @@ class TestSampler:
     def test_deterministic_under_seed(self):
         assert sample_primes(5, 1234, 20) == sample_primes(5, 1234, 20)
         assert sample_prime(5, 99) == sample_prime(5, 99)
+
+    def test_sample_is_the_head_of_the_stream(self):
+        stream = iter_primes(5, 1234)
+        assert sample_primes(5, 1234, 20) == [next(stream) for _ in range(20)]
+
+    def test_stream_checks_n_before_the_first_draw(self):
+        with pytest.raises(ValueError):
+            iter_primes(1, 0)
 
     def test_samples_are_prime(self):
         for w in sample_primes(7, 42, 200):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -77,7 +78,7 @@ def test_verify_proposition(n):
         lambda: count_parking_functions(11),
         lambda: count_prime_parking_functions(12),
         lambda: verify_bijection(9),
-        lambda: verify_proposition(7),
+        lambda: verify_proposition(8),
     ],
 )
 def test_guard_ranges(call):
@@ -137,6 +138,34 @@ def test_wrong_shift_fails_both_verifiers(monkeypatch, oracle):
         monkeypatch.setattr(module, "decompose", _shift_moved(decompose))
     assert getattr(parkfunc.enumeration, oracle)(4) is False
     assert getattr(word_oracle, oracle)(4) is False
+
+
+def _swapped(rotated_street, k, i, j):
+    """rotated_street with the labels at positions i and j of street k swapped."""
+
+    def street(n, kk):
+        labels = list(rotated_street(n, kk))
+        if kk == k:
+            labels[i], labels[j] = labels[j], labels[i]
+        return tuple(labels)
+
+    return street
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_street_swaps_give_the_word_scan_verdict(monkeypatch, n):
+    # The prefix-shared scan must see a wrong street exactly where parking
+    # every word from scratch does.
+    real = parkfunc.enumeration.rotated_street
+    verdicts = set()
+    for k in range(1, n):
+        for i, j in itertools.combinations(range(n), 2):
+            for module in (parkfunc.enumeration, word_oracle):
+                monkeypatch.setattr(module, "rotated_street", _swapped(real, k, i, j))
+            expected = word_oracle.verify_proposition(n)
+            assert verify_proposition(n) is expected, f"street {k}, swap {i}<->{j}"
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 # Word-by-word checks of the two facts the orbit oracles rest on.
