@@ -2,7 +2,7 @@
 
 
 class GuardRangeError(ValueError):
-    """An exhaustive operation was asked to run outside its guarded range.
+    """An exhaustive operation was asked to run above its guarded range.
 
     The brute-force oracles scan exponentially many words, so each one caps
     `n` at a desk-scale default.  Callers that really want a larger run can
@@ -19,8 +19,15 @@ class InvariantError(RuntimeError):
 
 
 def check_guard(name, n, lo, hi, force=False):
-    if not force and not lo <= n <= hi:
+    """Reject n below the operation's domain, and n above its guard unless forced.
+
+    An n below ``lo`` is bad input whatever ``force`` is, so it raises a
+    plain ``ValueError``: forcing cannot make the operation meaningful.
+    """
+    if n < lo:
+        raise ValueError(f"{name} needs n >= {lo} (got n={n})")
+    if not force and n > hi:
         raise GuardRangeError(
-            f"{name} is guarded to {lo} <= n <= {hi} (got n={n}); "
+            f"{name} is guarded to n <= {hi} (got n={n}); "
             f"pass force=True to override"
         )

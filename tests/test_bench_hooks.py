@@ -54,3 +54,11 @@ def test_traced_workloads_pass_their_checks(bench):
         assert failures == [], workload.name
         assert sum(r.attempted for r in runs) == 2 * len(workload.ops)
         assert layers[counter] > 0, workload.name
+
+
+def test_oracle_scan_passes_at_its_benchmark_size(bench):
+    # The workload's default sizes (count n=7, verify n=6), one untraced op.
+    run, workloads = bench
+    runs, _, _ = run.run_workload(workloads.OracleScan(1), 0, trace=False)
+    assert [r.first_failure for r in runs if r.failed] == []
+    assert sum(r.attempted for r in runs) == 1

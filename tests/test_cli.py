@@ -180,6 +180,17 @@ class TestVerify:
         code, _, _ = invoke(capsys, "verify", "--n", "9", "--what", "bijection")
         assert code == 3
 
+    def test_proposition_guard(self, capsys):
+        code, _, err = invoke(capsys, "verify", "--n", "9", "--what", "proposition")
+        assert code == 3
+        assert "guard" in err
+
+    @pytest.mark.parametrize("what", ["bijection", "proposition", "pak-stanley"])
+    def test_n_below_the_domain_is_invalid_not_guarded(self, capsys, what):
+        code, _, err = invoke(capsys, "verify", "--n", "1", "--what", what)
+        assert code == 2
+        assert "needs n >= 2" in err and "force" not in err
+
 
 class TestSample:
     def test_deterministic(self, capsys):
@@ -266,6 +277,11 @@ class TestShi:
     def test_guard(self, capsys):
         code, _, _ = invoke(capsys, "shi", "--n", "7")
         assert code == 3
+
+    def test_n_below_the_domain_is_invalid_not_guarded(self, capsys):
+        code, _, err = invoke(capsys, "shi", "--n", "1")
+        assert code == 2
+        assert "needs n >= 2" in err and "force" not in err
 
 
 class TestUsage:

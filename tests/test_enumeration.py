@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -18,6 +19,7 @@ from parkfunc import (
     verify_proposition,
 )
 from parkfunc.cycle_lemma import _shift_down
+from parkfunc.enumeration import _orbits
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
 PPF_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27, 5: 256}
@@ -78,7 +80,7 @@ def test_verify_proposition(n):
         lambda: count_parking_functions(11),
         lambda: count_prime_parking_functions(12),
         lambda: verify_bijection(9),
-        lambda: verify_proposition(8),
+        lambda: verify_proposition(9),
     ],
 )
 def test_guard_ranges(call):
@@ -93,6 +95,15 @@ def test_guard_is_overridable():
 def test_nonsense_n_is_invalid_not_guarded():
     with pytest.raises(ValueError) as exc:
         count_parking_functions(0)
+    assert not isinstance(exc.value, GuardRangeError)
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("oracle", [verify_bijection, verify_proposition])
+def test_n_below_the_domain_is_invalid_even_when_forced(oracle, force):
+    # [0]^1 is empty, so a forced run would pass vacuously.
+    with pytest.raises(ValueError) as exc:
+        oracle(1, force=force)
     assert not isinstance(exc.value, GuardRangeError)
 
 
@@ -140,6 +151,30 @@ def test_wrong_shift_fails_both_verifiers(monkeypatch, oracle):
     assert getattr(word_oracle, oracle)(4) is False
 
 
+def _wrong_on_orbit(decompose, q):
+    """decompose with k moved on the words that sort to q, and right elsewhere."""
+    moved = _shift_moved(decompose)
+
+    def wrong(word):
+        return moved(word) if tuple(sorted(word)) == q else decompose(word)
+
+    return wrong
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_one_wrong_orbit_fails_every_verifier(monkeypatch, n, place):
+    # The per-state and per-code memos of the proposition walk, and the
+    # prime set of the bijection check, must not hide a single bad orbit.
+    reps = [q for q, _ in _orbits(n - 1, n)]
+    q = {"first": reps[0], "middle": reps[len(reps) // 2], "last": reps[-1]}[place]
+    for module in (parkfunc.enumeration, word_oracle):
+        monkeypatch.setattr(module, "decompose", _wrong_on_orbit(decompose, q))
+    for oracle in ("verify_bijection", "verify_proposition"):
+        assert getattr(parkfunc.enumeration, oracle)(n) is False, (oracle, q)
+        assert getattr(word_oracle, oracle)(n, force=True) is False, (oracle, q)
+
+
 def _swapped(rotated_street, k, i, j):
     """rotated_street with the labels at positions i and j of street k swapped."""
 
@@ -169,6 +204,13 @@ def test_street_swaps_give_the_word_scan_verdict(monkeypatch, n):
 
 
 # Word-by-word checks of the two facts the orbit oracles rest on.
+
+
+@pytest.mark.parametrize("length", range(1, 6))
+@pytest.mark.parametrize("max_label", range(1, 6))
+def test_orbits_count_the_sorted_words(max_label, length):
+    sizes = collections.Counter(tuple(sorted(w)) for w in all_words(max_label, length))
+    assert list(_orbits(max_label, length)) == sorted(sizes.items())
 
 
 def _not_order_invariant(fn, words):
