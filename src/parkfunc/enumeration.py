@@ -251,8 +251,9 @@ def _street_automaton(n, first):
     bitmask, or None once a car has left that street; state 0 is the empty
     start.  Returns ``(delta, winner)``: ``delta[state][p - 1]`` is the
     state after one more car preferring p, and ``winner[state]`` is s + 1
-    for the only street s still open, or 0 when none or several are.  Every reachable state is expanded, so the tables are finite: a
-    full street goes to None with the next car, and all None stays put.
+    for the only street s still open, or 0 when none or several are.  Every
+    reachable state is expanded, so the tables are finite: a full street
+    goes to None with the next car, and all None stays put.
     """
     full = (1 << n) - 1
     at_or_after = [full & -(1 << pos) for pos in range(n)]

@@ -16,8 +16,10 @@ one edge u -> v per hyperplane (CLRS 24.4, "Difference constraints and
 shortest paths").  The strict constraint gets the integer weight
 c*(n+1) - 1: a simple cycle has at most n edges, so the scaled cycle weight
 is negative exactly when the cycle's constants sum to at most 0, which is
-exactly when the strict system is empty.  All distances are plain ints;
-``fractions.Fraction`` appears only in the witness points.  No floats.
+exactly when the strict system is empty.  One distance matrix per region
+gives its walls and its boundedness, and the walk streams the regions level
+by level.  All distances are plain ints; ``fractions.Fraction`` appears only
+in the witness points.  No floats.
 """
 
 from dataclasses import dataclass
@@ -164,14 +166,17 @@ def satisfies(sv, point):
 
 
 def _walls(n, signs):
-    """Indices of the hyperplanes that bound the nonempty region on a facet.
+    """The nonempty region's walls and whether it is bounded, from one matrix.
 
-    Flipping edge (u, v, w) leaves a nonempty region iff every other u -> v
-    path has constants summing to more than c, where w = c*(n+1) - 1.  A
-    path of L edges and constant sum C weighs C*(n+1) - L, and with
-    1 <= L <= n-1 that weight exceeds w exactly when C > c; it never ties
-    w, since the one parallel edge u -> v has the other k and so a weight
-    that differs by n+1.  So the edge is a wall iff dist[u][v] == w.
+    Returns ``(walls, bounded)``.  ``walls`` lists the indices of the
+    hyperplanes that bound the region on a facet.  Flipping edge (u, v, w)
+    leaves a nonempty region iff every other u -> v path has constants
+    summing to more than c, where w = c*(n+1) - 1.  A path of L edges and
+    constant sum C weighs C*(n+1) - L, and with 1 <= L <= n-1 that weight
+    exceeds w exactly when C > c; it never ties w, since the one parallel
+    edge u -> v has the other k and so a weight that differs by n+1.  So
+    the edge is a wall iff dist[u][v] == w.  ``bounded`` comes from
+    ``_strongly_connected`` on the same matrix.
     """
     edges = _edges(n, signs)
     dist = _distances(n, edges)
@@ -179,7 +184,22 @@ def _walls(n, signs):
         raise InvariantError(
             f"the walk reached the empty region {_sign_string(signs)} (n={n})"
         )
-    return [idx for idx, (u, v, w) in enumerate(edges) if dist[u][v] == w]
+    walls = [idx for idx, (u, v, w) in enumerate(edges) if dist[u][v] == w]
+    return walls, _strongly_connected(n, dist)
+
+
+def _strongly_connected(n, dist):
+    """Whether a nonempty region is bounded modulo the line x_1 = ... = x_n.
+
+    Every region recedes along (1, ..., 1); it is bounded in the quotient
+    exactly when its recession cone contains nothing else.  The cone relaxes
+    each edge u -> v to d_u >= d_v, so it is the line iff the constraint
+    graph is strongly connected; otherwise the vertices reachable from some
+    vertex can drop by 1 while the others stay put.  By the weight bounds in
+    ``_distances``, v is reachable from u iff dist[u][v] < n(n+2).
+    """
+    reach = n * (n + 2)
+    return all(d < reach for row in dist for d in row)
 
 
 def base_region(n):
@@ -206,90 +226,78 @@ class Region:
     bfs_depth: int
 
 
-def _reaches_all(adjacency):
-    """Whether every vertex is reachable from vertex 0."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        for v in adjacency[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adjacency)
-
-
 def is_bounded(region):
     """Whether the region is bounded modulo the line x_1 = ... = x_n.
 
-    Every region recedes along (1, ..., 1); it is bounded in the quotient
-    exactly when its recession cone contains nothing else.  The cone relaxes
-    each edge u -> v to d_u >= d_v, so it is the line iff the sign digraph
-    (i -> j for each +, j -> i for each -) is strongly connected; otherwise
-    the vertices reachable from some vertex can drop by 1 while the others
-    stay put.
+    Accepts a ``SignVector`` or a ``Region``; the test is
+    ``_strongly_connected`` on the region's distance matrix.  An empty
+    region has no recession cone to ask about, so it raises ``ValueError``.
     """
     sv = region.sign_vector if isinstance(region, Region) else region
-    forward = [set() for _ in range(sv.n)]
-    backward = [set() for _ in range(sv.n)]
-    for u, v, _ in _edges(sv.n, sv.signs):
-        forward[u].add(v)
-        backward[v].add(u)
-    return _reaches_all(forward) and _reaches_all(backward)
+    dist = _distances(sv.n, _edges(sv.n, sv.signs))
+    if dist is None:
+        raise ValueError(f"region {sv.as_string()} (n={sv.n}) is empty")
+    return _strongly_connected(sv.n, dist)
 
 
-def enumerate_regions(n, force=False):
+def iter_regions(n, force=False):
     """All regions of the arrangement, labeled, by breadth-first wall crossing.
 
     Neighbors of a region lie across its walls; a crossing flips exactly one
     sign, and on first discovery the new region receives its parent's label
     with one coordinate bumped (the rule in the module docstring).  Levels
     are expanded in lexicographic order of the sign strings, so the output
-    order is reproducible.  Guarded to n <= 6: each region costs one
-    O(n^3) distance matrix, so n=6 (16,807 regions) takes about a second,
-    while n=7 holds 262,144 regions in memory at once and needs
-    ``force=True``.
+    order is reproducible.  Each region is yielded as soon as its distance
+    matrix is read, and the walk keeps only the previous, current and next
+    levels: a region's depth is the number of hyperplanes separating it
+    from the base chamber, so a crossing changes the depth by exactly 1.
+    n is checked here, before the first region.  Guarded to n <= 6: each
+    region costs one O(n^3) distance matrix, so n=6 (16,807 regions) takes
+    about a second, while n=7 (262,144 regions, at most 34,230 in one
+    level) takes about half a minute and needs ``force=True``.
     """
-    check_guard("enumerate_regions", n, 2, 6, force)
+    check_guard("iter_regions", n, 2, 6, force)
+    return _walk(n)
+
+
+def _walk(n):
     hps = hyperplanes(n)
     base = base_region(n).signs
-
-    discovered = {base: ((1,) * n, 0)}  # signs -> (label, depth)
-    order = [base]
+    previous = {}
+    labels = {base: (1,) * n}  # the current level: signs -> label
     level = [base]
     depth = 0
     while level:
         found = {}
         for signs in level:
-            label, _ = discovered[signs]
-            for idx in _walls(n, signs):
+            label = labels[signs]
+            walls, bounded = _walls(n, signs)
+            yield Region(SignVector(n, signs), label, bounded, depth)
+            for idx in walls:
                 key = signs[:idx] + (-signs[idx],) + signs[idx + 1:]
-                if key in discovered or key in found:
-                    continue
-                # First discovery is always a crossing away from the base
-                # chamber; a crossing toward it would contradict minimality
-                # of the BFS depth.
                 hp = hps[idx]
+                # A crossing toward the base chamber goes one level up, and
+                # one away from it one level down, where a first discovery
+                # sets the label.
                 if signs[idx] != base[idx]:
-                    raise InvariantError(
-                        f"region {_sign_string(key)} (n={n}) was first reached "
-                        f"by crossing {hp} toward the base chamber"
-                    )
-                coord = (hp.i if hp.k == 0 else hp.j) - 1
-                found[key] = label[:coord] + (label[coord] + 1,) + label[coord + 1:]
-        depth += 1
+                    if key not in previous:
+                        raise InvariantError(
+                            f"crossing {hp} from region {_sign_string(signs)} "
+                            f"(n={n}) toward the base chamber misses depth "
+                            f"{depth - 1}"
+                        )
+                    continue
+                if key not in found:
+                    coord = (hp.i if hp.k == 0 else hp.j) - 1
+                    found[key] = label[:coord] + (label[coord] + 1,) + label[coord + 1:]
+        previous, labels = labels, found
         level = sorted(found, key=_sign_string)
-        for key in level:
-            discovered[key] = (found[key], depth)
-        order.extend(level)
+        depth += 1
 
-    regions = []
-    for signs in order:
-        label, d = discovered[signs]
-        sv = SignVector(n, signs)
-        regions.append(
-            Region(sign_vector=sv, label=label, bounded=is_bounded(sv), bfs_depth=d)
-        )
-    return regions
+
+def enumerate_regions(n, force=False):
+    """The regions of ``iter_regions(n, force)``, as a list."""
+    return list(iter_regions(n, force))
 
 
 def verify_pak_stanley(n, force=False):
@@ -297,15 +305,19 @@ def verify_pak_stanley(n, force=False):
 
     True iff the labels are pairwise distinct, the label set is exactly the
     parking functions of length n, and the labels of the bounded regions are
-    exactly the prime parking functions.
+    exactly the prime parking functions.  The regions are read as a stream.
     """
     check_guard("verify_pak_stanley", n, 2, 6, force)
-    regions = enumerate_regions(n, force=force)
-    labels = [r.label for r in regions]
-    if len(set(labels)) != len(labels):
-        return False
+    labels = set()
+    bounded = set()
+    for region in iter_regions(n, force=force):
+        if region.label in labels:
+            return False
+        labels.add(region.label)
+        if region.bounded:
+            bounded.add(region.label)
     parking = {w for w in all_words(n, n) if is_parking_function(w)}
-    if set(labels) != parking:
+    if labels != parking:
         return False
     prime = {w for w in all_words(n - 1, n) if is_prime_parking_function(w)}
-    return {r.label for r in regions if r.bounded} == prime
+    return bounded == prime

@@ -44,7 +44,7 @@ def test_traced_workloads_pass_their_checks(bench):
     mix = {(kind, 8): 1 for kind in workloads.WordRequests.kinds}
     # Each workload with a counter of a call the library makes inside it.
     cases = [
-        (workloads.ShiWalk(1, n=3), "shi.is_bounded.calls"),
+        (workloads.ShiWalk(1, n=3), "shi.enumerate_regions.s"),
         (workloads.OracleScan(1, count_n=4, verify_n=4), "cycle_lemma.decompose.calls"),
         (workloads.WordRequests(1, mix), "cli.build_parser.ms"),
     ]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import parkfunc.cycle_lemma
+import parkfunc.shi
 from parkfunc import format_word
 from parkfunc.cli import render_street, run
 from conftest import (
@@ -277,6 +278,31 @@ class TestShi:
     def test_guard(self, capsys):
         code, _, _ = invoke(capsys, "shi", "--n", "7")
         assert code == 3
+
+    def test_text_mode_walks_as_it_prints(self, monkeypatch):
+        matrices = 0
+        distances = parkfunc.shi._distances
+
+        def counted(n, edges):
+            nonlocal matrices
+            matrices += 1
+            return distances(n, edges)
+
+        class OneLinePipe(io.StringIO):
+            """A stdout whose reader leaves after the first line."""
+
+            def write(self, text):
+                if "\n" in self.getvalue():
+                    raise BrokenPipeError
+                return super().write(text)
+
+        out = OneLinePipe()
+        monkeypatch.setattr(parkfunc.shi, "_distances", counted)
+        monkeypatch.setattr(sys, "stdout", out)
+        with pytest.raises(BrokenPipeError):
+            run(["shi", "--n", "6"])
+        assert out.getvalue().count("\n") == 1
+        assert matrices <= 2
 
     def test_n_below_the_domain_is_invalid_not_guarded(self, capsys):
         code, _, err = invoke(capsys, "shi", "--n", "1")

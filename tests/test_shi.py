@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,6 +18,7 @@ from parkfunc import (
     is_feasible,
     is_parking_function,
     is_prime_parking_function,
+    iter_regions,
     verify_pak_stanley,
 )
 from parkfunc import shi
@@ -119,6 +121,9 @@ class TestFeasibility:
                 assert satisfies(sv, feasible_point(sv)), sv.as_string()
             else:
                 assert feasible_point(sv) is None, sv.as_string()
+                message = f"region {sv.as_string()} (n={n}) is empty"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    is_bounded(sv)
 
     def test_base_region_witness(self):
         for n in (2, 3, 4, 5):
@@ -161,7 +166,7 @@ class TestRegions:
         assert len(regions) == (n + 1) ** (n - 1)
         assert sum(r.bounded for r in regions) == (n - 1) ** (n - 1)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_depth_equals_separating_hyperplanes(self, n):
         base = base_region(n)
         for r in enumerate_regions(n):
@@ -171,7 +176,7 @@ class TestRegions:
             assert r.bfs_depth == separating
             assert sum(r.label) - n == r.bfs_depth
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_labels_rederivable_from_sign_differences(self, n):
         # Path independence: coordinate c counts the separating hyperplanes
         # x_c = x_j (j > c) plus the separating x_i = x_c + 1 (i < c).
@@ -194,14 +199,20 @@ class TestRegions:
                 for idx in range(len(signs))
                 if signs[:idx] + (-signs[idx],) + signs[idx + 1:] in oracle_regions(n)
             }
-            assert set(_walls(n, signs)) == flips, SignVector(n, signs).as_string()
+            walls, _ = _walls(n, signs)
+            assert set(walls) == flips, SignVector(n, signs).as_string()
 
     def test_bfs_reaches_every_feasible_sign_vector(self):
         for n in (2, 3, 4):
-            found = {r.sign_vector.signs for r in enumerate_regions(n)}
+            regions = enumerate_regions(n)
+            found = {r.sign_vector.signs for r in regions}
             assert found == oracle_regions(n)
+            for r in regions:
+                assert r.bounded == oracle_is_bounded(r.sign_vector), (
+                    r.sign_vector.as_string()
+                )
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_output_ordered_by_depth_then_signs(self, n):
         keys = [(r.bfs_depth, r.sign_vector.as_string()) for r in enumerate_regions(n)]
         assert keys == sorted(keys)
@@ -213,12 +224,53 @@ class TestRegions:
         depths = [r.bfs_depth for r in enumerate_regions(3)]
         assert depths == sorted(depths)
 
+    def test_one_distance_matrix_per_region(self, monkeypatch):
+        calls = {"_edges": 0, "_distances": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(shi, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(shi, name, counted)
+        assert len(enumerate_regions(4)) == 125
+        assert calls == {"_edges": 125, "_distances": 125}
+
+    def test_crossing_toward_the_base_must_reach_the_previous_level(
+        self, monkeypatch
+    ):
+        # A mutant that also reports every non-wall flip toward the base
+        # chamber: such a flip leads to an empty region, never one level up.
+        base = base_region(3).signs
+        real = shi._walls
+
+        def mutant(n, signs):
+            walls, bounded = real(n, signs)
+            toward = [
+                idx for idx, (s, b) in enumerate(zip(signs, base))
+                if s != b and idx not in walls
+            ]
+            return walls + toward, bounded
+
+        monkeypatch.setattr(shi, "_walls", mutant)
+        # Level 1 has no such flip (its one toward flip is a wall); the first
+        # comes in level 2, walked in sign-string order.
+        message = (
+            "crossing Hyperplane(i=1, j=3, k=1) from region +++++- (n=3) "
+            "toward the base chamber misses depth 1"
+        )
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            enumerate_regions(3)
+
     def test_walk_into_an_empty_region_raises(self, monkeypatch):
         monkeypatch.setattr(shi, "_distances", lambda n, edges: None)
         with pytest.raises(InvariantError, match=r"empty region \+- \(n=2\)"):
             enumerate_regions(2)
 
     def test_guard(self):
+        # iter_regions checks n when called, before the first region.
+        with pytest.raises(GuardRangeError):
+            iter_regions(7)
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            iter_regions(1)
         with pytest.raises(GuardRangeError):
             enumerate_regions(7)
         with pytest.raises(GuardRangeError):
