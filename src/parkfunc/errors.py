@@ -27,7 +27,4 @@ def check_guard(name, n, lo, hi, force=False):
     if n < lo:
         raise ValueError(f"{name} needs n >= {lo} (got n={n})")
     if not force and n > hi:
-        raise GuardRangeError(
-            f"{name} is guarded to n <= {hi} (got n={n}); "
-            f"pass force=True to override"
-        )
+        raise GuardRangeError(f"{name} is guarded to n <= {hi} (got n={n})")

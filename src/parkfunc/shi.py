@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import is_parking_function, is_prime_parking_function
-from .enumeration import all_words
+from .enumeration import count_parking_functions, count_prime_parking_functions
 from .errors import InvariantError, check_guard
 
 
@@ -305,19 +305,33 @@ def verify_pak_stanley(n, force=False):
 
     True iff the labels are pairwise distinct, the label set is exactly the
     parking functions of length n, and the labels of the bounded regions are
-    exactly the prime parking functions.  The regions are read as a stream.
+    exactly the prime parking functions.  The regions are read as a stream,
+    and no word set is built: each label must be new, lie in [n]^n and pass
+    ``is_parking_function``, and each bounded label must also pass
+    ``is_prime_parking_function``.  The labels then form a subset of the
+    parking functions, and the bounded ones a subset of the prime parking
+    functions; a subset of a finite set with the same size is the whole
+    set, so comparing the two sizes with the orbit counts of
+    ``count_parking_functions`` and ``count_prime_parking_functions``
+    settles both equalities.
     """
     check_guard("verify_pak_stanley", n, 2, 6, force)
     labels = set()
-    bounded = set()
+    bounded = 0
     for region in iter_regions(n, force=force):
-        if region.label in labels:
+        label = region.label
+        if (
+            label in labels
+            or len(label) != n
+            or not all(1 <= x <= n for x in label)
+            or not is_parking_function(label)
+        ):
             return False
-        labels.add(region.label)
-        if region.bounded:
-            bounded.add(region.label)
-    parking = {w for w in all_words(n, n) if is_parking_function(w)}
-    if labels != parking:
-        return False
-    prime = {w for w in all_words(n - 1, n) if is_prime_parking_function(w)}
-    return bounded == prime
+        if region.bounded and not is_prime_parking_function(label):
+            return False
+        labels.add(label)
+        bounded += region.bounded
+    return (
+        len(labels) == count_parking_functions(n, force=force).matching
+        and bounded == count_prime_parking_functions(n, force=force).matching
+    )

@@ -162,7 +162,7 @@ class TestCount:
     def test_guard_exits_three(self, capsys):
         code, _, err = invoke(capsys, "count", "--n", "40")
         assert code == 3
-        assert "guard" in err
+        assert "guard" in err and "force" not in err
 
 
 class TestVerify:
@@ -178,8 +178,8 @@ class TestVerify:
         assert code == 2
 
     def test_guard(self, capsys):
-        code, _, _ = invoke(capsys, "verify", "--n", "9", "--what", "bijection")
-        assert code == 3
+        code, _, err = invoke(capsys, "verify", "--n", "9", "--what", "bijection")
+        assert code == 3 and "force" not in err
 
     def test_proposition_guard(self, capsys):
         code, _, err = invoke(capsys, "verify", "--n", "9", "--what", "proposition")
@@ -276,8 +276,8 @@ class TestShi:
             assert int(depth) == record["depth"]
 
     def test_guard(self, capsys):
-        code, _, _ = invoke(capsys, "shi", "--n", "7")
-        assert code == 3
+        code, _, err = invoke(capsys, "shi", "--n", "7")
+        assert code == 3 and "force" not in err
 
     def test_text_mode_walks_as_it_prints(self, monkeypatch):
         matrices = 0

@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,7 +24,6 @@ from parkfunc import (
 )
 from parkfunc import shi
 from parkfunc.shi import Hyperplane, _walls, satisfies
-from fm_oracle import at_most, equal_to, less_than, satisfiable
 
 # The sixteen labels of the three-car arrangement, and the four bounded ones.
 LABELS3 = {
@@ -34,51 +34,53 @@ LABELS3 = {
 BOUNDED3 = {(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)}
 
 
-# Ground truth: each region as general rational constraints, settled by the
-# Fourier-Motzkin oracle exactly as the library did before it switched to
-# difference-constraint graphs.
-def _unit_diff(n, i, j):
-    coeffs = [0] * n
-    coeffs[i - 1] = 1
-    coeffs[j - 1] = -1
-    return tuple(coeffs)
+@lru_cache(maxsize=None)
+def lattice_regions(n):
+    """Ground truth: each nonempty region's signs, mapped to its boundedness.
 
+    A lattice-point scan that shares no method with the engine: no shortest
+    paths, no elimination, only the sign order of ``hyperplanes(n)``.
 
-def oracle_is_feasible(sv):
-    region = []
-    for hp, s in zip(hyperplanes(sv.n), sv.signs):
-        if s > 0:  # x_i - x_j > k
-            region.append(less_than(_unit_diff(sv.n, hp.j, hp.i), -hp.k))
-        else:  # x_i - x_j < k
-            region.append(less_than(_unit_diff(sv.n, hp.i, hp.j), hp.k))
-    return satisfiable(region, sv.n)
+    Feasibility.  Scaled by n+1, each side of each hyperplane reads
+    y_v - y_u < c(n+1), c in {-1, 0, 1}, an edge u -> v.  The scan visits
+    the integer y with y_n = 0, |y_i| <= R = (n-1)(n+2) and no
+    y_i - y_j in {0, n+1}; a region it hits holds y/(n+1).  Conversely, if
+    the open region holds a point, its constraints summed around a cycle
+    give 0 < C(n+1), so each simple cycle has integer constant sum C >= 1
+    and, with L <= n edges, weight C(n+1) - L >= 1 in the integer system
+    y_v - y_u <= c(n+1) - 1.  Having no negative cycle, that system is
+    solved by the shortest-path potentials from a virtual source with a 0
+    edge to each vertex: each is 0 or a simple path of at most n-1 edges of
+    weight >= -(n+2), so it lies in [-(n-1)(n+2), 0].  Subtracting y_n keeps
+    every difference, so the scan visits that strict solution.
 
-
-def oracle_is_bounded(sv):
-    """No recession direction has d_p - d_q = 1 for any ordered pair (p, q)."""
-    cone = []
-    for hp, s in zip(hyperplanes(sv.n), sv.signs):
-        if s > 0:  # d_i - d_j >= 0
-            cone.append(at_most(_unit_diff(sv.n, hp.j, hp.i), 0))
-        else:
-            cone.append(at_most(_unit_diff(sv.n, hp.i, hp.j), 0))
-    return not any(
-        satisfiable(cone + equal_to(_unit_diff(sv.n, p, q), 1), sv.n)
-        for p in range(1, sv.n + 1)
-        for q in range(1, sv.n + 1)
-        if p != q
-    )
+    Boundedness.  The closure's recession cone, d_i >= d_j on a + side and
+    d_i <= d_j on a - side, holds the constant vectors; the region is
+    bounded modulo their line iff it holds nothing else.  For a nonconstant
+    cone vector d and min(d) < t <= max(d), e_i = [d_i >= t] keeps every
+    relation, so e is a nonconstant 0/1 cone vector: the region is bounded
+    iff none of the 2^n - 2 nonconstant 0/1 vectors meets its relations.
+    """
+    span = (n - 1) * (n + 2)
+    cuts = [(hp.i - 1, hp.j - 1, hp.k * (n + 1)) for hp in hyperplanes(n)]
+    nonconstant = [d for d in itertools.product((0, 1), repeat=n) if 0 < sum(d) < n]
+    regions = {}
+    for y in itertools.product(*[range(-span, span + 1)] * (n - 1), [0]):
+        gaps = [y[i] - y[j] - k for i, j, k in cuts]
+        if 0 in gaps:
+            continue
+        signs = tuple(1 if g > 0 else -1 for g in gaps)
+        if signs not in regions:
+            regions[signs] = not any(
+                all(s * (d[i] - d[j]) >= 0 for (i, j, _), s in zip(cuts, signs))
+                for d in nonconstant
+            )
+    return regions
 
 
 def all_sign_vectors(n):
     for signs in itertools.product((1, -1), repeat=n * (n - 1)):
         yield SignVector(n, signs)
-
-
-@lru_cache(maxsize=None)
-def oracle_regions(n):
-    """The sign tuples of every nonempty region, by a full oracle scan."""
-    return frozenset(sv.signs for sv in all_sign_vectors(n) if oracle_is_feasible(sv))
 
 
 class TestHyperplanes:
@@ -107,17 +109,16 @@ class TestFeasibility:
         assert feasible_point(SignVector.from_string(2, "-+")) is None
 
     def test_sixteen_of_sixtyfour_at_three(self):
-        assert len(oracle_regions(3)) == 16
         feasible = {sv.signs for sv in all_sign_vectors(3) if is_feasible(sv)}
-        assert feasible == oracle_regions(3)
+        assert len(feasible) == 16 and feasible == lattice_regions(3).keys()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_engine_agrees_with_fourier_motzkin(self, n):
+    def test_engine_agrees_with_lattice_scan(self, n):
         for sv in all_sign_vectors(n):
-            feasible = sv.signs in oracle_regions(n)
+            feasible = sv.signs in lattice_regions(n)
             assert is_feasible(sv) == feasible, sv.as_string()
             if feasible:
-                assert is_bounded(sv) == oracle_is_bounded(sv), sv.as_string()
+                assert is_bounded(sv) == lattice_regions(n)[sv.signs], sv.as_string()
                 assert satisfies(sv, feasible_point(sv)), sv.as_string()
             else:
                 assert feasible_point(sv) is None, sv.as_string()
@@ -193,11 +194,12 @@ class TestRegions:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_walls_are_the_feasible_flips(self, n):
-        for signs in oracle_regions(n):
+        regions = lattice_regions(n)
+        for signs in regions:
             flips = {
                 idx
                 for idx in range(len(signs))
-                if signs[:idx] + (-signs[idx],) + signs[idx + 1:] in oracle_regions(n)
+                if signs[:idx] + (-signs[idx],) + signs[idx + 1:] in regions
             }
             walls, _ = _walls(n, signs)
             assert set(walls) == flips, SignVector(n, signs).as_string()
@@ -205,12 +207,8 @@ class TestRegions:
     def test_bfs_reaches_every_feasible_sign_vector(self):
         for n in (2, 3, 4):
             regions = enumerate_regions(n)
-            found = {r.sign_vector.signs for r in regions}
-            assert found == oracle_regions(n)
-            for r in regions:
-                assert r.bounded == oracle_is_bounded(r.sign_vector), (
-                    r.sign_vector.as_string()
-                )
+            found = {r.sign_vector.signs: r.bounded for r in regions}
+            assert found == lattice_regions(n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_output_ordered_by_depth_then_signs(self, n):
@@ -293,7 +291,37 @@ def test_verify_pak_stanley(n):
     assert verify_pak_stanley(n)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def _tampered_streams(n):
+    """Region streams that each break one clause of verify_pak_stanley.
+
+    ``base`` is the bounded base chamber, labeled (1, ..., 1), and ``free``
+    is the first unbounded region.  The key None holds the untouched stream.
+    """
+    regions = enumerate_regions(n)
+    u = next(idx for idx, r in enumerate(regions) if not r.bounded)
+    base, rest, free, tail = regions[0], regions[1:u], regions[u], regions[u + 1:]
+    unbounded_base = replace(base, bounded=False)
+    bounded_free = replace(free, bounded=True)
+    return {
+        None: regions,
+        "duplicated label": [*regions, free],
+        "missing region": [base, *rest, *tail],
+        "entry n+1": [replace(base, label=(1,) * (n - 1) + (n + 1,)), *regions[1:]],
+        "short label": [replace(base, label=(1,) * (n - 1)), *regions[1:]],
+        "bounded to unbounded": [unbounded_base, *regions[1:]],
+        "unbounded to bounded": [base, *rest, bounded_free, *tail],
+        "swapped bounded flags": [unbounded_base, *rest, bounded_free, *tail],
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_pak_stanley_rejects_a_tampered_stream(monkeypatch, n):
+    for tampering, regions in _tampered_streams(n).items():
+        monkeypatch.setattr(shi, "iter_regions", lambda n, force=False: iter(regions))
+        assert verify_pak_stanley(n) is (tampering is None), tampering
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_label_sets_against_word_scans(n):
     regions = enumerate_regions(n)
     assert {r.label for r in regions} == {
