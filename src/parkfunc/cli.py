@@ -28,7 +28,7 @@ from .cycle_lemma import decompose, iter_primes, recompose, sample_primes
 from .enumeration import count_parking_functions, count_prime_parking_functions
 from .enumeration import verify_bijection, verify_proposition
 from .errors import GuardRangeError
-from .shi import iter_regions, verify_pak_stanley
+from .shi import enumerate_regions, iter_regions, verify_pak_stanley
 
 
 def render_street(cars, labels):
@@ -191,7 +191,7 @@ def _cmd_shi(args):
                 "bounded": r.bounded,
                 "depth": r.bfs_depth,
             }
-            for r in iter_regions(args.n)
+            for r in enumerate_regions(args.n)
         ],
     }))
     return 0

@@ -8,25 +8,43 @@ below 1, labeled (1, ..., 1), a breadth-first walk across walls assigns each
 region its Pak-Stanley label: crossing x_i = x_j away from the base chamber
 adds 1 to coordinate i, crossing x_i = x_j + 1 adds 1 to coordinate j.  The
 labels enumerate the parking functions, with prime parking functions on the
-regions that are bounded modulo the all-equal line x_1 = ... = x_n.
+regions that are bounded modulo the all-equal line x_1 = ... = x_n
+(Stanley, PNAS 93, 1996).
 
-Every side of every hyperplane is an integer difference constraint
-x_v - x_u < c, so the geometry is shortest paths on a weighted digraph with
-one edge u -> v per hyperplane (CLRS 24.4, "Difference constraints and
-shortest paths").  The strict constraint gets the integer weight
-c*(n+1) - 1: a simple cycle has at most n edges, so the scaled cycle weight
-is negative exactly when the cycle's constants sum to at most 0, which is
-exactly when the strict system is empty.  One distance matrix per region
-gives its walls and its boundedness, and the walk streams the regions level
-by level.  All distances are plain ints; ``fractions.Fraction`` appears only
-in the witness points.  No floats.
+Two paths build the regions.
+
+The walk, ``iter_regions``, follows that definition.  Every side of every
+hyperplane is an integer difference constraint x_v - x_u < c, so the
+geometry is shortest paths on a weighted digraph with one edge u -> v per
+hyperplane (CLRS 24.4, "Difference constraints and shortest paths").  The
+strict constraint gets the integer weight c*(n+1) - 1: a simple cycle has
+at most n edges, so the scaled cycle weight is negative exactly when the
+cycle's constants sum to at most 0, which is exactly when the strict system
+is empty.  One distance matrix per region gives its walls and its
+boundedness, and the walk streams the regions level by level.  All
+distances are plain ints; ``fractions.Fraction`` appears only in the
+witness points.  No floats.
+
+The combinatorial path, ``_regions``, needs no distance matrix
+(Athanasiadis-Linusson, Discrete Math. 204, 1999; Shi, LNM 1179, 1986).  A
+region orders its coordinates, y_1 > ... > y_n with y_p = x_{w(p)} for a
+permutation w, and only a non-inversion pair of positions p < q, one with
+w(p) < w(q), can lie on either side of its k=1 hyperplane.  The pairs with
+y_p - y_q > 1 form an up-set U of the staircase of pairs p < q, and any
+up-set occurs for every w; the region is w with U ∩ noninv(w), and it has
+exactly one U whose minimal elements are all non-inversions.  Each
+separating hyperplane counts once, so the label is read off directly, and
+so is boundedness.  ``enumerate_regions``, ``verify_pak_stanley`` and
+``parkfunc shi --json`` take this path; the walk stays as the
+definition-level reference that the tests compare it with, region for
+region, and ``parkfunc shi`` streams it in text mode.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import is_parking_function, is_prime_parking_function
 from .enumeration import count_parking_functions, count_prime_parking_functions
 from .errors import InvariantError, check_guard
 
@@ -72,7 +90,7 @@ class SignVector:
             raise ValueError(
                 f"expected {self.n * (self.n - 1)} signs, got {len(self.signs)}"
             )
-        if any(s not in (1, -1) for s in self.signs):
+        if not set(self.signs) <= {1, -1}:
             raise ValueError("signs must be +1 or -1")
 
     def as_string(self):
@@ -255,6 +273,11 @@ def iter_regions(n, force=False):
     region costs one O(n^3) distance matrix, so n=6 (16,807 regions) takes
     about a second, while n=7 (262,144 regions, at most 34,230 in one
     level) takes about half a minute and needs ``force=True``.
+
+    This is the definition-level path, kept as the reference that the tests
+    hold ``enumerate_regions`` to, and the stream that ``parkfunc shi``
+    prints in text mode, where a reader that stops early stops the walk.
+    Callers that want the whole list take ``enumerate_regions``.
     """
     check_guard("iter_regions", n, 2, 6, force)
     return _walk(n)
@@ -295,9 +318,102 @@ def _walk(n):
         depth += 1
 
 
+def _upsets(w, m, p):
+    """Fill m[p], m[p-1], ..., m[0] with each canonical up-set for w in turn.
+
+    ``m[r]`` is the smallest q with (r, q) in U, or n when row r of U is
+    empty; an up-set has m non-decreasing with m[r] > r.  Rows r > p are
+    already set.  A choice m[p] < m[p+1] makes (p, m[p]) a minimal element
+    of U, so it is taken only on a non-inversion; m[p] = m[p+1] adds no
+    minimal element.  Yields the one list ``m``, refilled in place.
+    """
+    if p < 0:
+        yield m
+        return
+    top = m[p + 1]
+    for q in range(p + 1, top):
+        if w[p] < w[q]:
+            m[p] = q
+            yield from _upsets(w, m, p - 1)
+    m[p] = top
+    yield from _upsets(w, m, p - 1)
+
+
+def _spanned(w, m):
+    """Whether every gap g|g+1 has a non-inversion p <= g < q with q < m[p].
+
+    Such a pair lies strictly between its two hyperplanes, 0 < y_p - y_q < 1,
+    which caps every gap it spans.  An uncapped gap g|g+1 is unbounded: only
+    lower bounds span it, so y_1, ..., y_{g+1} can all rise together.
+    """
+    far = 0  # the furthest q that a pair p <= g caps, over the rows so far
+    for g in range(len(w) - 1):
+        for q in range(m[g] - 1, g, -1):
+            if w[g] < w[q]:
+                far = max(far, q)
+                break
+        if far <= g:
+            return False
+    return True
+
+
+def _regions(n):
+    """Every region, labeled, from its (w, U) pair; n is not checked.
+
+    Positions and coordinates are 0-based here.  For each permutation w
+    (``w[p]`` is the coordinate at position p, ``pos`` its inverse), the
+    k=0 sign of (i, j) is + iff pos(i) < pos(j); the k=1 sign is + iff,
+    in addition, m[pos(i)] <= pos(j).  Each separating hyperplane adds 1 to
+    one label entry, so l_a = 1 + #{b > a : x_b > x_a}
+    + #{b < a : x_b - x_a > 1}, and ``bfs_depth`` is inv(w) plus the k=1
+    signs that are +.  Regions come out grouped by w, not in walk order.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for w in itertools.permutations(range(n)):
+        pos = [0] * n
+        for p, a in enumerate(w):
+            pos[a] = p
+        # The label before the k=1 crossings: l_a = 1 + #{b > a : x_b > x_a}.
+        first = [1 + sum(pos[b] < pos[a] for b in range(a + 1, n)) for a in range(n)]
+        inversions = sum(first) - n
+        # The k=0 signs are fixed by w; only a non-inversion's k=1 sign varies.
+        fixed = []
+        ascents = []  # (index of the k=1 sign, pos(i), pos(j), j)
+        for i, j in pairs:
+            if pos[i] < pos[j]:
+                ascents.append((len(fixed) + 1, pos[i], pos[j], j))
+                fixed += (1, -1)
+            else:
+                fixed += (-1, -1)
+        for m in _upsets(w, [n] * n, n - 2):
+            signs = fixed[:]
+            label = first[:]
+            depth = inversions
+            for idx, p, q, j in ascents:
+                if m[p] <= q:
+                    signs[idx] = 1
+                    label[j] += 1
+                    depth += 1
+            yield Region(SignVector(n, tuple(signs)), tuple(label), _spanned(w, m), depth)
+
+
 def enumerate_regions(n, force=False):
-    """The regions of ``iter_regions(n, force)``, as a list."""
-    return list(iter_regions(n, force))
+    """The regions of ``iter_regions(n, force)``, as a list in the same order.
+
+    Built by ``_regions`` from the (w, U) pairs of the module docstring, with
+    no distance matrix, then sorted by depth and sign string, the walk's
+    order.  On a shared 2-core machine with Python 3.11 it takes 1.0 ms at
+    n=4, 16 ms at n=5 and 0.27 s at n=6, about a quarter of the walk's time.
+    Guarded to n <= 6, as the walk is; a forced n=7 takes about 5 s.
+    """
+    check_guard("enumerate_regions", n, 2, 6, force)
+    # '+' sorts before '-', so ascending sign strings are descending sign
+    # tuples; every region has its own key, so the reversal ties nothing.
+    return sorted(
+        _regions(n),
+        key=lambda r: (-r.bfs_depth, r.sign_vector.signs),
+        reverse=True,
+    )
 
 
 def verify_pak_stanley(n, force=False):
@@ -305,11 +421,13 @@ def verify_pak_stanley(n, force=False):
 
     True iff the labels are pairwise distinct, the label set is exactly the
     parking functions of length n, and the labels of the bounded regions are
-    exactly the prime parking functions.  The regions are read as a stream,
-    and no word set is built: each label must be new, lie in [n]^n and pass
-    ``is_parking_function``, and each bounded label must also pass
-    ``is_prime_parking_function``.  The labels then form a subset of the
-    parking functions, and the bounded ones a subset of the prime parking
+    exactly the prime parking functions.  The regions of ``_regions`` are
+    read unsorted as a stream, and no word set is built: each label must be
+    new, of length n with entries in [n], and parking, and each bounded
+    label must also be prime, both read from the sorted label q by
+    Konheim-Weiss (q_i <= i; q_i < i for i > 1) without the public
+    predicates' input checks.  The labels then form a subset of the parking
+    functions, and the bounded ones a subset of the prime parking
     functions; a subset of a finite set with the same size is the whole
     set, so comparing the two sizes with the orbit counts of
     ``count_parking_functions`` and ``count_prime_parking_functions``
@@ -318,16 +436,16 @@ def verify_pak_stanley(n, force=False):
     check_guard("verify_pak_stanley", n, 2, 6, force)
     labels = set()
     bounded = 0
-    for region in iter_regions(n, force=force):
+    for region in _regions(n):
         label = region.label
+        q = sorted(label)
         if (
             label in labels
-            or len(label) != n
-            or not all(1 <= x <= n for x in label)
-            or not is_parking_function(label)
+            or len(q) != n
+            or q[0] < 1  # entries in [n]: q_n <= n is part of parking
+            or any(x > i for i, x in enumerate(q, start=1))
+            or region.bounded and any(x >= i for i, x in enumerate(q[1:], start=2))
         ):
-            return False
-        if region.bounded and not is_prime_parking_function(label):
             return False
         labels.add(label)
         bounded += region.bounded

@@ -229,7 +229,7 @@ class TestRegions:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(shi, name, counted)
-        assert len(enumerate_regions(4)) == 125
+        assert len(list(iter_regions(4))) == 125
         assert calls == {"_edges": 125, "_distances": 125}
 
     def test_crossing_toward_the_base_must_reach_the_previous_level(
@@ -256,12 +256,12 @@ class TestRegions:
             "toward the base chamber misses depth 1"
         )
         with pytest.raises(InvariantError, match=re.escape(message)):
-            enumerate_regions(3)
+            list(iter_regions(3))
 
     def test_walk_into_an_empty_region_raises(self, monkeypatch):
         monkeypatch.setattr(shi, "_distances", lambda n, edges: None)
         with pytest.raises(InvariantError, match=r"empty region \+- \(n=2\)"):
-            enumerate_regions(2)
+            list(iter_regions(2))
 
     def test_guard(self):
         # iter_regions checks n when called, before the first region.
@@ -273,6 +273,23 @@ class TestRegions:
             enumerate_regions(7)
         with pytest.raises(GuardRangeError):
             verify_pak_stanley(7)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_combinatorial_path_equals_the_walk(self, n):
+        assert enumerate_regions(n) == list(iter_regions(n))
+
+    def test_combinatorial_path_builds_no_distance_matrix(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("enumerate_regions built a distance matrix")
+
+        monkeypatch.setattr(shi, "_distances", refuse)
+        assert len(enumerate_regions(4)) == 125
+
+    def test_combinatorial_path_guard(self):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            enumerate_regions(1)
+        with pytest.raises(GuardRangeError):
+            enumerate_regions(7)
 
 
 class TestBoundedness:
@@ -307,6 +324,7 @@ def _tampered_streams(n):
         "duplicated label": [*regions, free],
         "missing region": [base, *rest, *tail],
         "entry n+1": [replace(base, label=(1,) * (n - 1) + (n + 1,)), *regions[1:]],
+        "entry 0": [replace(base, label=(0,) + (1,) * (n - 1)), *regions[1:]],
         "short label": [replace(base, label=(1,) * (n - 1)), *regions[1:]],
         "bounded to unbounded": [unbounded_base, *regions[1:]],
         "unbounded to bounded": [base, *rest, bounded_free, *tail],
@@ -317,7 +335,7 @@ def _tampered_streams(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_verify_pak_stanley_rejects_a_tampered_stream(monkeypatch, n):
     for tampering, regions in _tampered_streams(n).items():
-        monkeypatch.setattr(shi, "iter_regions", lambda n, force=False: iter(regions))
+        monkeypatch.setattr(shi, "_regions", lambda n: iter(regions))
         assert verify_pak_stanley(n) is (tampering is None), tampering
 
 
