@@ -344,7 +344,7 @@ def _spanned(w, m):
 
     Such a pair lies strictly between its two hyperplanes, 0 < y_p - y_q < 1,
     which caps every gap it spans.  An uncapped gap g|g+1 is unbounded: only
-    lower bounds span it, so y_1, ..., y_{g+1} can all rise together.
+    lower bounds span it, so the y at positions 0..g can all rise together.
     """
     far = 0  # the furthest q that a pair p <= g caps, over the rows so far
     for g in range(len(w) - 1):
@@ -365,8 +365,9 @@ def _regions(n):
     k=0 sign of (i, j) is + iff pos(i) < pos(j); the k=1 sign is + iff,
     in addition, m[pos(i)] <= pos(j).  Each separating hyperplane adds 1 to
     one label entry, so l_a = 1 + #{b > a : x_b > x_a}
-    + #{b < a : x_b - x_a > 1}, and ``bfs_depth`` is inv(w) plus the k=1
-    signs that are +.  Regions come out grouped by w, not in walk order.
+    + #{b < a : x_b - x_a > 1}, and ``bfs_depth`` = sum(label) - n is
+    inv(w) plus the k=1 signs that are +.  Regions come out grouped by w,
+    not in walk order.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for w in itertools.permutations(range(n)):
@@ -375,7 +376,6 @@ def _regions(n):
             pos[a] = p
         # The label before the k=1 crossings: l_a = 1 + #{b > a : x_b > x_a}.
         first = [1 + sum(pos[b] < pos[a] for b in range(a + 1, n)) for a in range(n)]
-        inversions = sum(first) - n
         # The k=0 signs are fixed by w; only a non-inversion's k=1 sign varies.
         fixed = []
         ascents = []  # (index of the k=1 sign, pos(i), pos(j), j)
@@ -388,13 +388,13 @@ def _regions(n):
         for m in _upsets(w, [n] * n, n - 2):
             signs = fixed[:]
             label = first[:]
-            depth = inversions
             for idx, p, q, j in ascents:
                 if m[p] <= q:
                     signs[idx] = 1
                     label[j] += 1
-                    depth += 1
-            yield Region(SignVector(n, tuple(signs)), tuple(label), _spanned(w, m), depth)
+            yield Region(
+                SignVector(n, tuple(signs)), tuple(label), _spanned(w, m), sum(label) - n
+            )
 
 
 def enumerate_regions(n, force=False):
