@@ -7,6 +7,7 @@ failed verification/simulation, 2 invalid input, 3 guard-range violation.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -154,6 +155,7 @@ def _cmd_sample(args):
         if args.json:
             raise ValueError("--seed is required with --json for reproducibility")
         seed = time.time_ns()
+        print(f"seed: {seed}", file=sys.stderr)
     if not args.json:
         # Print each word as it is drawn, so a reader that stops early (as
         # `| head`) stops the draws too, and memory does not grow with --count.
@@ -261,10 +263,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # Built on the first call, not at import.  One parser serves every call:
+    # parse_args makes a fresh Namespace each time, so no value carries over.
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -47,9 +47,10 @@ def parse_word(text):
         raise ValueError("empty word literal")
     word = []
     for p in parts:
-        if not p.isdecimal() or int(p) < 1:
+        x = int(p) if p.isdecimal() else 0
+        if x < 1:
             raise ValueError(f"bad word entry {p!r}: expected a positive integer")
-        word.append(int(p))
+        word.append(x)
     return tuple(word)
 
 

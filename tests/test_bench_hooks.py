@@ -46,7 +46,7 @@ def test_traced_workloads_pass_their_checks(bench):
     cases = [
         (workloads.ShiWalk(1, n=3), "shi.enumerate_regions.s"),
         (workloads.OracleScan(1, count_n=4, verify_n=4), "cycle_lemma.decompose.calls"),
-        (workloads.WordRequests(1, mix), "cli.build_parser.ms"),
+        (workloads.WordRequests(1, mix), "core.parse_word.us"),
     ]
     for workload, counter in cases:
         runs, layers, _ = run.run_workload(workload, 0, trace=True)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import parkfunc.cli
 import parkfunc.cycle_lemma
 import parkfunc.shi
 from parkfunc import format_word
@@ -212,6 +213,13 @@ class TestSample:
         assert code == 2
         assert "seed" in err
 
+    def test_clock_seed_is_echoed_and_repeats_the_run(self, capsys):
+        argv = ("sample", "--n", "6", "--count", "5")
+        code, first, err = invoke(capsys, *argv)
+        label, seed = err.split()
+        assert (code, label) == (0, "seed:")
+        assert invoke(capsys, *argv, "--seed", seed) == (0, first, "")
+
     def test_json_words(self, capsys):
         _, out, _ = invoke(capsys, "sample", "--n", "4", "--seed", "11",
                            "--count", "2", "--json")
@@ -310,15 +318,56 @@ class TestShi:
         assert "needs n >= 2" in err and "force" not in err
 
 
+class TestParserReuse:
+    """`run` builds one parser per process; no call may see another's values."""
+
+    def test_flags_do_not_leak_into_the_next_call(self, capsys):
+        code, out, _ = invoke(capsys, "check", "--word", "1,2", "--prime", "--json")
+        assert code == 1 and json.loads(out)["prime"] is True
+        assert invoke(capsys, "check", "--word", "1,2") == (0, "true\n", "")
+
+    def test_k_does_not_leak_into_a_plain_simulate(self, capsys):
+        code, _, _ = invoke(capsys, "simulate", "--word", "1,1",
+                            "--street", "rotated", "--k", "1", "--json")
+        assert code == 0
+        code, out, _ = invoke(capsys, "simulate", "--word", "1,1", "--json")
+        record = json.loads(out)
+        assert code == 0
+        assert (record["street"], record["k"]) == ("standard", None)
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = 0
+        build_parser = parkfunc.cli.build_parser
+
+        def counted():
+            nonlocal built
+            built += 1
+            return build_parser()
+
+        monkeypatch.setattr(parkfunc.cli, "build_parser", counted)
+        parkfunc.cli._parser.cache_clear()
+        try:
+            assert invoke(capsys, "check", "--word", "1,1")[0] == 0
+            assert invoke(capsys, "strip", "--word", "2,1,1")[0] == 0
+            assert invoke(capsys, "check", "--bogus")[0] == 2
+            assert built == 1
+        finally:
+            parkfunc.cli._parser.cache_clear()
+
+
 class TestUsage:
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = invoke(capsys, "check", "--word", "1", "--bogus")
         assert code == 2
+        # The next call in the same process is unaffected.
+        assert invoke(capsys, "strip", "--word", "2,1,1") == (0, "2,1\n", "")
 
     def test_missing_subcommand(self, capsys):
         assert invoke(capsys)[0] == 2
 
     def test_help_exits_zero(self, capsys):
+        # Twice, since run reuses one parser across calls.
+        assert invoke(capsys, "--help")[0] == 0
         assert invoke(capsys, "--help")[0] == 0
 
     def test_python_dash_m_runs_the_cli(self):

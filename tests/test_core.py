@@ -33,6 +33,13 @@ class TestWordLiterals:
         with pytest.raises(ValueError):
             parse_word(bad)
 
+    @pytest.mark.parametrize("text,entry", [
+        ("1,0,x", "'0'"), ("1,x,0", "'x'"), ("1,-1", "'-1'"),
+    ])
+    def test_error_names_the_first_bad_entry(self, text, entry):
+        with pytest.raises(ValueError, match=f"^bad word entry {entry}:"):
+            parse_word(text)
+
 
 class TestSortedRearrangement:
     def test_fifteen_car_example(self, word15):
