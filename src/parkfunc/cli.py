@@ -155,11 +155,13 @@ def _cmd_sample(args):
         if args.json:
             raise ValueError("--seed is required with --json for reproducibility")
         seed = time.time_ns()
-        print(f"seed: {seed}", file=sys.stderr)
     if not args.json:
+        words = iter_primes(args.n, seed)  # checks n, so a bad n echoes no seed
+        if args.seed is None:
+            print(f"seed: {seed}", file=sys.stderr)
         # Print each word as it is drawn, so a reader that stops early (as
         # `| head`) stops the draws too, and memory does not grow with --count.
-        for word in itertools.islice(iter_primes(args.n, seed), args.count):
+        for word in itertools.islice(words, args.count):
             print(format_word(word))
         return 0
     words = sample_primes(args.n, seed, args.count)

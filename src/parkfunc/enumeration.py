@@ -15,16 +15,14 @@ sorted word and b is an entrywise map of the word, so decompose(σa) = (k, σb)
 for every permutation σ of positions.  The test suite checks both facts word
 by word for small n, and checks these oracles against full word scans.
 
-The proposition is checked word by word: whether a word parks on a rotated
-street regardless of the order of its cars is part of what it asserts, so
-the orbit reduction is not used there.  Parking a word on all n-1 rotated
-streets at once is run as a finite automaton instead.  Its state is the
-tuple of the streets' occupied-spot masks, None for a street a car has
-left.  Parking is online, so the next state depends only on the state and
-the next car, and a transition computed once per distinct state gives each
-word exactly the outcome of parking it from scratch.  There are few
-states: 91 after at most n-2 cars and 31 after n-1 at n=6, 258/63 at n=7
-and 715/127 at n=8, against (n-1)^(n-1) prefixes of n-1 cars.
+The proposition is checked for every word: whether a word parks on a
+rotated street regardless of the order of its cars is part of what it
+asserts, so the orbit reduction is not used there.  Instead the words are
+parked on all n-1 rotated streets at once, one car per round, as a set of
+distinct pairs (the streets' occupied-spot masks, the multiset of cars so
+far).  Parking is online, so the pairs after t cars are exactly the
+outcomes of all words of t cars, and words that share a pair share their
+whole future.
 """
 
 import itertools
@@ -191,93 +189,48 @@ def verify_proposition(n, force=False):
     k, k, k+1, ..., n-1, 1, ..., k-1 lets every car park, and that rotation
     is the decomposition's shift.  Every word is parked on every street, so
     nothing is assumed about the order of the cars.  The expected shift is
-    looked up by the word's multiset, from public decompose on each sorted
-    word, since decompose reads k from the sorted word.
+    looked up by the word's multiset code sum((n+1)^(x-1)), from public
+    decompose on each sorted word, since decompose reads k from the sorted
+    word.
 
-    Parking the cars of a word one by one on all n-1 streets at once is a
-    finite automaton (``_street_automaton``): its state is the tuple of
-    occupied-spot masks, None for a street a car has left, and the next
-    state depends only on the state and the next car, because parking is
-    online.  So each transition is computed once per distinct state, and a
-    word's fate on every street is the state its own cars reach, exactly as
-    if it were parked from scratch.  The automaton is small: 91 states
-    after 0..4 cars and 31 after 5 at n=6, 258/63 at n=7, 715/127 at n=8.
-
-    The walk then visits every prefix of n-2 cars depth first, carrying its
-    state and its multiset code sum((n+1)^(x-1)).  For each prefix it
-    compares the winners of its (n-1)^2 two-car extensions, memoised per
-    state, with their expected shifts, memoised per code.  A winner is the
-    one street that admits every car, or 0 when none or several do.
-    Guarded to n <= 8.
+    The check runs over one set of pairs (masks, code): masks holds each
+    street's occupied-spot bitmask, or None once a car has left that
+    street, and code is the multiset code of the cars so far.  The set
+    starts as {(empty streets, 0)}, and each of n rounds parks one more car
+    p in [n-1] on every street of every pair and adds (n+1)^(p-1) to its
+    code.  Parking is online: a word's outcome after t+1 cars is its
+    outcome after t cars with the last car parked on top.  So, by induction
+    on t, the set after t rounds is exactly {(the word's outcome on every
+    street, its code)} over all words of t cars, and checking every final
+    pair checks every word: its open streets must be exactly
+    [shift_of[code]].  Words that reach the same pair are checked once.
+    Guarded to n <= 9.
     """
-    check_guard("verify_proposition", n, 2, 8, force)
+    check_guard("verify_proposition", n, 2, 9, force)
     m = n - 1
     steps = [(n + 1) ** (p - 1) for p in range(1, n)]
     shift_of = {
         sum(steps[x - 1] for x in q): decompose(q).k for q, _ in _orbits(m, n)
     }
-    delta, winner = _street_automaton(
-        n, [_first_positions(rotated_street(n, k)) for k in range(1, n)]
-    )
-    found = {}  # state after n-2 cars -> winners of its two-car extensions
-    expected = {}  # code of n-2 cars -> shifts of its two-car extensions
-    stack = [(0, 0, 0)]  # (state, code, cars) of the prefixes left to visit
-    while stack:
-        state, code, cars = stack.pop()
-        if cars < n - 2:
-            for child, step in zip(delta[state], steps):
-                stack.append((child, code + step, cars + 1))
-            continue
-        got = found.get(state)
-        if got is None:
-            got = found[state] = tuple(
-                tuple(winner[last] for last in delta[child]) for child in delta[state]
-            )
-        want = expected.get(code)
-        if want is None:
-            want = expected[code] = tuple(
-                tuple(shift_of[code + a + b] for b in steps) for a in steps
-            )
-        if got != want:
+    full = (1 << n) - 1
+    first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]
+    # ahead[p - 1][s]: the spots of street s at or after the first labelled p.
+    ahead = [[full & -(1 << fp[p]) for fp in first] for p in range(1, n)]
+    pairs = {((0,) * m, 0)}
+    for _ in range(n):
+        after = set()
+        for masks, code in pairs:
+            for spots, step in zip(ahead, steps):
+                parked = []
+                for mask, reach in zip(masks, spots):
+                    if mask is not None:
+                        free = reach & ~mask
+                        mask = mask | (free & -free) if free else None
+                    parked.append(mask)
+                after.add((tuple(parked), code + step))
+        pairs = after
+    for masks, code in pairs:
+        live = [k for k, mask in enumerate(masks, start=1) if mask is not None]
+        if live != [shift_of[code]]:
             return False
     return True
-
-
-def _street_automaton(n, first):
-    """The automaton that parks each car on all the streets of ``first`` at once.
-
-    ``first[s]`` maps each label to its first position on street s, which
-    has n spots.  A state is the tuple of each street's occupied-spot
-    bitmask, or None once a car has left that street; state 0 is the empty
-    start.  Returns ``(delta, winner)``: ``delta[state][p - 1]`` is the
-    state after one more car preferring p, and ``winner[state]`` is s + 1
-    for the only street s still open, or 0 when none or several are.  Every
-    reachable state is expanded, so the tables are finite: a full street
-    goes to None with the next car, and all None stays put.
-    """
-    full = (1 << n) - 1
-    at_or_after = [full & -(1 << pos) for pos in range(n)]
-    labels = range(1, n)
-    states = [(0,) * len(first)]
-    index = {states[0]: 0}
-    delta = []
-    for masks in states:  # grows while it is read: a breadth-first search
-        children = []
-        for p in labels:
-            parked = []
-            for mask, fp in zip(masks, first):
-                if mask is not None:
-                    free = at_or_after[fp[p]] & ~mask
-                    mask = mask | (free & -free) if free else None
-                parked.append(mask)
-            parked = tuple(parked)
-            if parked not in index:
-                index[parked] = len(states)
-                states.append(parked)
-            children.append(index[parked])
-        delta.append(children)
-    winner = []
-    for masks in states:
-        live = [k for k, mask in enumerate(masks, start=1) if mask is not None]
-        winner.append(live[0] if len(live) == 1 else 0)
-    return delta, winner

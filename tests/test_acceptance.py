@@ -77,9 +77,9 @@ def test_criterion_3_worked_example(capsys):
 
 def test_criterion_4_rotated_streets():
     start = time.perf_counter()
-    ok = all(verify_proposition(n) for n in range(2, 9))
+    ok = all(verify_proposition(n) for n in range(2, 10))
     ok &= time.perf_counter() - start < 60
-    report(4, "unique parking rotation equals the shift for n=2..8", ok)
+    report(4, "unique parking rotation equals the shift for n=2..9", ok)
 
 
 def test_criterion_5_shi_regions():

@@ -183,7 +183,7 @@ class TestVerify:
         assert code == 3 and "force" not in err
 
     def test_proposition_guard(self, capsys):
-        code, _, err = invoke(capsys, "verify", "--n", "9", "--what", "proposition")
+        code, _, err = invoke(capsys, "verify", "--n", "10", "--what", "proposition")
         assert code == 3
         assert "guard" in err
 
@@ -219,6 +219,11 @@ class TestSample:
         label, seed = err.split()
         assert (code, label) == (0, "seed:")
         assert invoke(capsys, *argv, "--seed", seed) == (0, first, "")
+
+    def test_bad_n_without_seed_echoes_no_seed(self, capsys):
+        code, out, err = invoke(capsys, "sample", "--n", "1")
+        assert (code, out) == (2, "")
+        assert "needs n >= 2" in err and "seed:" not in err
 
     def test_json_words(self, capsys):
         _, out, _ = invoke(capsys, "sample", "--n", "4", "--seed", "11",

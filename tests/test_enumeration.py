@@ -80,7 +80,7 @@ def test_verify_proposition(n):
         lambda: count_parking_functions(11),
         lambda: count_prime_parking_functions(12),
         lambda: verify_bijection(9),
-        lambda: verify_proposition(9),
+        lambda: verify_proposition(10),
     ],
 )
 def test_guard_ranges(call):
@@ -164,7 +164,7 @@ def _wrong_on_orbit(decompose, q):
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_one_wrong_orbit_fails_every_verifier(monkeypatch, n, place):
-    # The per-state and per-code memos of the proposition walk, and the
+    # The merged (masks, code) pairs of the proposition check, and the
     # prime set of the bijection check, must not hide a single bad orbit.
     reps = [q for q, _ in _orbits(n - 1, n)]
     q = {"first": reps[0], "middle": reps[len(reps) // 2], "last": reps[-1]}[place]
