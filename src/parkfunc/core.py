@@ -64,16 +64,38 @@ def sorted_rearrangement(word):
     return tuple(sorted(_as_word(word)))
 
 
+def _parks_sorted(q):
+    """Konheim-Weiss on a nondecreasing word q of positive ints: q_i <= i.
+
+    No input checks: callers validate at their own edge, or pass words they
+    built sorted and in range.
+    """
+    i = 0
+    for x in q:
+        i += 1
+        if x > i:
+            return False
+    return True
+
+
+def _prime_sorted(q):
+    """q_1 <= 1 and q_i < i for every i > 1, on a nondecreasing word q.
+
+    That is: q has a 1, and deleting it leaves a parking function.  The
+    empty word has no 1 to delete, so it is not prime.  No input checks.
+    """
+    return bool(q) and q[0] <= 1 and _parks_sorted(q[1:])
+
+
 def is_parking_function(word):
     """True iff the nondecreasing rearrangement q satisfies q_i <= i.
 
     Entries must lie in [n] where n = len(word); an out-of-range entry is a
-    domain error, not a falsy answer.
+    domain error, not a falsy answer.  The empty word parks.
     """
     word = _as_word(word)
-    n = len(word)
-    _check_range(word, n)
-    return all(q <= i for i, q in enumerate(sorted(word), start=1))
+    _check_range(word, len(word))
+    return _parks_sorted(sorted(word))
 
 
 def is_prime_parking_function(word):
@@ -82,14 +104,11 @@ def is_prime_parking_function(word):
     Prime parking functions take values in [n-1]; the predicate accepts any
     word over [n] and simply answers False when an entry equals n (n >= 2).
     The length-1 word (1,) counts as prime: the i > 1 condition is vacuous.
+    The empty word is not prime: it has no 1 to delete.
     """
     word = _as_word(word)
-    n = len(word)
-    _check_range(word, n)
-    q = sorted(word)
-    if q and q[0] > 1:
-        return False
-    return all(q[i] < i + 1 for i in range(1, n))
+    _check_range(word, len(word))
+    return _prime_sorted(sorted(word))
 
 
 def strip_first_one(word):

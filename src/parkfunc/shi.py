@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from .core import _parks_sorted, _prime_sorted
 from .enumeration import count_parking_functions, count_prime_parking_functions
 from .errors import InvariantError, check_guard
 
@@ -424,14 +425,12 @@ def verify_pak_stanley(n, force=False):
     exactly the prime parking functions.  The regions of ``_regions`` are
     read unsorted as a stream, and no word set is built: each label must be
     new, of length n with entries in [n], and parking, and each bounded
-    label must also be prime, both read from the sorted label q by
-    Konheim-Weiss (q_i <= i; q_i < i for i > 1) without the public
-    predicates' input checks.  The labels then form a subset of the parking
-    functions, and the bounded ones a subset of the prime parking
-    functions; a subset of a finite set with the same size is the whole
-    set, so comparing the two sizes with the orbit counts of
-    ``count_parking_functions`` and ``count_prime_parking_functions``
-    settles both equalities.
+    label must also be prime, both read from the sorted label by the core
+    kernels.  The labels then form a subset of the parking functions, and
+    the bounded ones a subset of the prime parking functions; a subset of a
+    finite set with the same size is the whole set, so comparing the two
+    sizes with the orbit counts of ``count_parking_functions`` and
+    ``count_prime_parking_functions`` settles both equalities.
     """
     check_guard("verify_pak_stanley", n, 2, 6, force)
     labels = set()
@@ -443,8 +442,8 @@ def verify_pak_stanley(n, force=False):
             label in labels
             or len(q) != n
             or q[0] < 1  # entries in [n]: q_n <= n is part of parking
-            or any(x > i for i, x in enumerate(q, start=1))
-            or region.bounded and any(x >= i for i, x in enumerate(q[1:], start=2))
+            or not _parks_sorted(q)
+            or region.bounded and not _prime_sorted(q)
         ):
             return False
         labels.add(label)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from parkfunc import (
     standard_street,
     strip_first_one,
 )
+from parkfunc.core import _parks_sorted, _prime_sorted
 from conftest import CARS_PRIME15, CARS_STANDARD15, SHIFT15
 
 
@@ -77,6 +80,14 @@ class TestPredicates:
         assert not is_prime_parking_function((1, 2))
         assert is_prime_parking_function((1,))
 
+    def test_empty_word_parks(self):
+        # (0+1)^(0-1) = 1: the empty word is the one parking function of length 0.
+        assert is_parking_function(())
+
+    def test_empty_word_is_not_prime(self):
+        # A prime word loses one 1 and still parks; the empty word has no 1.
+        assert not is_prime_parking_function(())
+
     @given(st.integers(2, 7).flatmap(
         lambda n: st.tuples(*[st.integers(1, n)] * n).flatmap(
             lambda w: st.tuples(st.just(w), st.permutations(w))
@@ -94,6 +105,33 @@ class TestPredicates:
         for w in all_words(n, n):
             if is_prime_parking_function(w):
                 assert is_parking_function(w)
+
+
+def _prime_by_definition(q):
+    """q has a 1, and deleting one 1 leaves a word that parks on 1..n-1."""
+    if 1 not in q:
+        return False
+    rest = strip_first_one(q)
+    if not rest:
+        return True  # no cars: nothing fails to park
+    if max(rest) > len(rest):
+        return False  # a car wants a spot the street does not have
+    return simulate(rest, standard_street(len(rest))).success
+
+
+class TestKernels:
+    """The unchecked sorted-word kernels against the parking process itself."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_parks_sorted_is_parking_on_the_standard_street(self, n):
+        street = standard_street(n)
+        for q in itertools.combinations_with_replacement(range(1, n + 1), n):
+            assert _parks_sorted(q) == simulate(q, street).success, q
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_prime_sorted_is_strip_a_one_then_park(self, n):
+        for q in itertools.combinations_with_replacement(range(1, n + 1), n):
+            assert _prime_sorted(q) == _prime_by_definition(q), q
 
 
 class TestStreets:

@@ -116,7 +116,7 @@ class TestDecompose:
             "from parkfunc import InvariantError\n"
             "if not sys.flags.optimize:\n"
             "    sys.exit('not running under -O')\n"
-            "cl.is_prime_parking_function = lambda word: False\n"
+            "cl._prime_sorted = lambda q: False\n"
             "try:\n"
             "    cl.decompose((2, 1, 2))\n"
             "except InvariantError as exc:\n"

@@ -175,6 +175,41 @@ def test_one_wrong_orbit_fails_every_verifier(monkeypatch, n, place):
         assert getattr(word_oracle, oracle)(n, force=True) is False, (oracle, q)
 
 
+def _flipped_on(kernel, q):
+    """kernel with its answer flipped on the sorted word q, and right elsewhere."""
+
+    def flipped(word):
+        return kernel(word) != (tuple(word) == q)
+
+    return flipped
+
+
+def _pick(reps, place):
+    return {"first": reps[0], "middle": reps[len(reps) // 2], "last": reps[-1]}[place]
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kernel,count,drop", [
+    ("_parks_sorted", count_parking_functions, 0),  # words over [n]
+    ("_prime_sorted", count_prime_parking_functions, 1),  # words over [n-1]
+])
+def test_one_flipped_orbit_fails_the_count(monkeypatch, kernel, count, drop, n, place):
+    q = _pick([q for q, _ in _orbits(n - drop, n)], place)
+    real = getattr(parkfunc.enumeration, kernel)
+    monkeypatch.setattr(parkfunc.enumeration, kernel, _flipped_on(real, q))
+    assert count(n).agrees is False, q
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_one_flipped_prime_orbit_fails_the_bijection(monkeypatch, n, place):
+    real = parkfunc.enumeration._prime_sorted
+    q = _pick([q for q, _ in _orbits(n - 1, n) if real(q)], place)
+    monkeypatch.setattr(parkfunc.enumeration, "_prime_sorted", _flipped_on(real, q))
+    assert verify_bijection(n) is False, q
+
+
 def _swapped(rotated_street, k, i, j):
     """rotated_street with the labels at positions i and j of street k swapped."""
 
