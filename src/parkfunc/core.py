@@ -143,6 +143,8 @@ def rotated_street(n, k):
     """Spots labeled k, k, k+1, ..., n-1, 1, 2, ..., k-1 for k in [n-1]."""
     if n < 2:
         raise ValueError("rotated street needs n >= 2")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"rotation k must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"rotation k must lie in [1, {n - 1}], got {k}")
     return (k,) + tuple(range(k, n)) + tuple(range(1, k))
@@ -180,13 +182,18 @@ def simulate(word, street):
             raise ValueError(f"preference {x} does not appear on the street")
     size = len(street)
     parked = [None] * size
+    # nxt[p] leads, by path halving, to the first free position >= p; the
+    # position `size` is off the end of the street and never fills.
+    nxt = list(range(size + 1))
     for car, pref in enumerate(word, start=1):
         pos = first_pos[pref]
-        while pos < size and parked[pos] is not None:
-            pos += 1
+        while nxt[pos] != pos:
+            nxt[pos] = nxt[nxt[pos]]
+            pos = nxt[pos]
         if pos == size:
             return ParkOutcome(success=False, failed_car=car)
         parked[pos] = car
+        nxt[pos] = pos + 1
     return ParkOutcome(success=True, assignment=tuple(parked))
 
 

@@ -94,6 +94,8 @@ def recompose(b, k):
     if n < 2:
         raise ValueError("recompose needs a word of length >= 2")
     _check_range(b, n - 1)
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"shift k must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"shift k must lie in [1, {n - 1}], got {k}")
     return tuple((x + k - 2) % (n - 1) + 1 for x in b)

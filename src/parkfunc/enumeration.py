@@ -9,8 +9,11 @@ The counts and the bijection cover every word through its orbit under
 permutations of positions.  Each orbit has one nondecreasing representative
 q, and length! / prod(mult!) words sort to it (its weight).  Both families
 are decided on the sorted word alone (Konheim-Weiss), so summing the weights
-of the accepted representatives counts the whole space.  The representatives
-are generated sorted and in range, so the oracles call the unchecked kernels
+of the accepted representatives counts the whole space.  The weights come
+from one table, ``_weights``, built label by label in the order
+``itertools.combinations_with_replacement`` yields the representatives, and
+a count is two C-level sums over that table.  The representatives are
+generated sorted and in range, so the oracles call the unchecked kernels
 ``core._parks_sorted`` and ``core._prime_sorted`` on them directly, once per
 orbit; the public predicates validate their input once and then call the
 same kernels.  The decomposition is equivariant by construction: k is read
@@ -37,7 +40,7 @@ from dataclasses import dataclass, asdict
 from .core import _first_positions, _parks_sorted, _prime_sorted, rotated_street
 # bench/tracer.py patches these names here, so they stay even when unused.
 from .core import is_parking_function, is_prime_parking_function, simulate  # noqa: F401
-from .cycle_lemma import _shift_down, decompose, recompose
+from .cycle_lemma import decompose, recompose
 from .errors import InvariantError, check_guard
 
 
@@ -46,35 +49,85 @@ def all_words(max_label, length):
     return itertools.product(range(1, max_label + 1), repeat=length)
 
 
-def _orbits(max_label, length):
-    """Each nondecreasing word of [max_label]^length with its orbit's size.
+def _weights(max_label, length):
+    """The orbit sizes of [max_label]^length, one per nondecreasing word.
 
-    The size is the number of words that sort to it, the multinomial
-    length! / prod(mult!) over the multiplicities of its entries, which in
-    a sorted word are its run lengths.
+    A sorted word's orbit has length! / prod(mult!) words, over the
+    multiplicities of its entries.  The sizes come in the order
+    ``itertools.combinations_with_replacement`` yields the sorted words.
+    The table is built over the labels from the largest down: ``tail[left]``
+    holds prod(mult!) for every sorted word of ``left`` entries over the
+    labels taken so far, in that order, and each new (smaller) label is
+    prepended c = left, ..., 0 times, which keeps the order.
     """
-    full = math.factorial(length)
-    fact = [math.factorial(i) for i in range(length + 1)]
-    labels = range(1, max_label + 1)
-    for q in itertools.combinations_with_replacement(labels, length):
-        runs = 1
-        for x in set(q):
-            runs *= fact[q.count(x)]
-        yield q, full // runs
+    fact = [math.factorial(c) for c in range(length + 1)]
+    tail = [[1]] + [[] for _ in range(length)]  # no labels yet: only the empty word
+    for _ in range(max_label):
+        grown = []
+        for left in range(length + 1):
+            row = []
+            for c in range(left, -1, -1):
+                f = fact[c]
+                row += [f * p for p in tail[left - c]] if f > 1 else tail[left - c]
+            grown.append(row)
+        tail = grown
+    full = fact[length]
+    return [full // p for p in tail[length]]
+
+
+def _sorted_words(max_label, length):
+    """The nondecreasing words of [max_label]^length, in lexicographic order."""
+    return itertools.combinations_with_replacement(range(1, max_label + 1), length)
+
+
+def _orbits(max_label, length):
+    """Each nondecreasing word of [max_label]^length with its orbit's size."""
+    return zip(_sorted_words(max_label, length), _weights(max_label, length))
 
 
 def _tally(kernel, max_label, length):
-    """(words, matching words) of [max_label]^length, one kernel call per orbit."""
-    total = matching = 0
-    for q, weight in _orbits(max_label, length):
-        total += weight
-        if kernel(q):
-            matching += weight
+    """(words, matching words) of [max_label]^length, one kernel call per orbit.
+
+    Both sums run in C over the weight table: ``compress`` keeps the weights
+    of the sorted words the kernel accepts.  It stops at the shorter input,
+    so the table's length is checked against C(max_label + length - 1,
+    length), the number of sorted words, as well as its sum.
+    """
+    weights = _weights(max_label, length)
+    orbits = math.comb(max_label + length - 1, length)
+    if len(weights) != orbits:
+        raise InvariantError(
+            f"{len(weights)} orbit sizes for the {orbits} sorted words "
+            f"of [{max_label}]^{length}"
+        )
+    total = sum(weights)
     if total != max_label**length:
         raise InvariantError(
             f"orbit sizes add up to {total}, not {max_label}^{length}"
         )
+    words = _sorted_words(max_label, length)
+    matching = sum(itertools.compress(weights, map(kernel, words)))
     return total, matching
+
+
+def _prime_shifts(primes, m):
+    """The shifts kk in [m] that take each sorted word a to a prime orbit.
+
+    Maps a to the ascending list of kk for which sorted(down_kk(a)) is in
+    ``primes``, where down_kk(x) = (x - kk) mod m + 1; sorted words with no
+    such kk are absent.  The table is read from the prime side: for each kk
+    and prime q it records kk under sorted(up_kk(q)), where up_kk(y) =
+    (y + kk - 2) mod m + 1 is the inverse of down_kk.  Both are entrywise
+    bijections of [m], so sorted(down_kk(a)) = q iff a = sorted(up_kk(q)).
+    That is m * len(primes) shift-and-sort steps, C(2n-2, n) for the
+    Cat(n-1) prime orbits of length n, instead of m per sorted word a.
+    """
+    table = {}
+    for kk in range(1, m + 1):
+        up = [None] + [(y + kk - 2) % m + 1 for y in range(1, m + 1)]
+        for q in primes:
+            table.setdefault(tuple(sorted(map(up.__getitem__, q))), []).append(kk)
+    return table
 
 
 @dataclass(frozen=True)
@@ -155,12 +208,16 @@ def verify_bijection(n, force=False):
     then holds on the whole orbit of a, and a -> b is one-to-one on it, so
     orbits matched with equal sizes match the words one to one.  Whether a
     word is prime is read from the set of prime sorted words, built once
-    with the prime kernel on the sorted representatives.  Guarded to n <= 8.
+    with the prime kernel on the sorted representatives.  The prime shifts
+    of each a are read from ``_prime_shifts``, built once from the prime
+    side: C(2n-2, n) shift-and-sort steps in all, not n-1 per orbit.
+    Guarded to n <= 8.
     """
     check_guard("verify_bijection", n, 2, 8, force)
     m = n - 1
     orbits = list(_orbits(m, n))
     primes = {q: w for q, w in orbits if _prime_sorted(q)}
+    prime_shifts = _prime_shifts(primes, m)
     seen = {}
     for a, weight in orbits:
         k, b = decompose(a)
@@ -171,11 +228,7 @@ def verify_bijection(n, force=False):
             return False
         if recompose(b, k) != a:
             return False
-        prime_shifts = [
-            kk for kk in range(1, m + 1)
-            if tuple(sorted(_shift_down(a, kk, m))) in primes
-        ]
-        if prime_shifts != [k]:
+        if prime_shifts.get(a) != [k]:
             return False
         pair = (k, b_orbit)
         if pair in seen:

@@ -21,9 +21,12 @@ class InvariantError(RuntimeError):
 def check_guard(name, n, lo, hi, force=False):
     """Reject n below the operation's domain, and n above its guard unless forced.
 
-    An n below ``lo`` is bad input whatever ``force`` is, so it raises a
-    plain ``ValueError``: forcing cannot make the operation meaningful.
+    An n below ``lo``, or an n that is not an int (a bool included), is bad
+    input whatever ``force`` is, so it raises a plain ``ValueError``:
+    forcing cannot make the operation meaningful.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{name} needs an integer n (got n={n!r})")
     if n < lo:
         raise ValueError(f"{name} needs n >= {lo} (got n={n})")
     if not force and n > hi:

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from parkfunc import (
     all_words,
+    decompose,
     format_word,
     is_parking_function,
     is_prime_parking_function,
@@ -153,6 +155,12 @@ class TestStreets:
         with pytest.raises(ValueError):
             rotated_street(n, k)
 
+    @pytest.mark.parametrize("k", [True, False, 1.0, "1", None])
+    def test_rotation_must_be_an_int(self, k):
+        with pytest.raises(ValueError) as exc:
+            rotated_street(3, k)
+        assert str(exc.value) == f"rotation k must be an integer, got {k!r}"
+
     def test_street_length_one(self):
         assert standard_street(1) == (1,)
         with pytest.raises(ValueError):
@@ -202,6 +210,49 @@ class TestSimulate:
         street = prime_street(n)
         for w in all_words(n - 1, n):
             assert simulate(w, street).success == is_prime_parking_function(w)
+
+    def test_agrees_with_rolling_forward_one_spot_at_a_time(self):
+        rng = random.Random(20)
+        lengths = list(range(1, 17)) + [rng.randint(17, 512) for _ in range(40)] + [512]
+        outcomes = set()
+        for n in lengths:
+            cases = [
+                ([rng.randint(1, n) for _ in range(n)], standard_street(n)),
+                ([rng.randint(1, max(1, n // 2)) for _ in range(n)], standard_street(n)),
+            ]
+            if n >= 2:
+                word = tuple(rng.randint(1, n - 1) for _ in range(n))
+                k, b = decompose(word)
+                cases += [(b, prime_street(n)), (word, prime_street(n))]
+                cases += [(word, rotated_street(n, kk)) for kk in {k, rng.randint(1, n - 1)}]
+            for word, street in cases:
+                out = simulate(word, street)
+                got = (out.success, out.assignment, out.failed_car)
+                assert got == _roll_forward(word, street), (word, street)
+                outcomes.add(out.success)
+        assert outcomes == {True, False}
+
+    def test_long_run_of_equal_preferences(self):
+        n = 20_000
+        out = simulate((1,) * n, standard_street(n))
+        assert out.success
+        assert out.assignment == tuple(range(1, n + 1))
+
+
+def _roll_forward(word, street):
+    """The parking process, each car rolling forward one spot at a time."""
+    first = {}
+    for pos, label in enumerate(street):
+        first.setdefault(label, pos)
+    parked = [None] * len(street)
+    for car, pref in enumerate(word, start=1):
+        pos = first[pref]
+        while pos < len(street) and parked[pos] is not None:
+            pos += 1
+        if pos == len(street):
+            return False, None, car
+        parked[pos] = car
+    return True, tuple(parked), None
 
 
 class TestStripFirstOne:

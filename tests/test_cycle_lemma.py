@@ -158,6 +158,12 @@ class TestRecompose:
         with pytest.raises(ValueError):
             recompose((1, 1), 2)
 
+    @pytest.mark.parametrize("k", [True, False, 1.0, "1", None])
+    def test_shift_must_be_an_int(self, k):
+        with pytest.raises(ValueError) as exc:
+            recompose((1, 1, 2), k)
+        assert str(exc.value) == f"shift k must be an integer, got {k!r}"
+
 
 class TestSampler:
     def test_length_two_is_constant(self):

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import gc
 import itertools
 import json
+import math
 
 import pytest
 
@@ -9,6 +11,7 @@ import parkfunc.enumeration
 import word_oracle
 from parkfunc import (
     GuardRangeError,
+    InvariantError,
     all_words,
     count_parking_functions,
     count_prime_parking_functions,
@@ -19,7 +22,7 @@ from parkfunc import (
     verify_proposition,
 )
 from parkfunc.cycle_lemma import _shift_down
-from parkfunc.enumeration import _orbits
+from parkfunc.enumeration import _orbits, _prime_shifts, _weights
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
 PPF_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27, 5: 256}
@@ -105,6 +108,18 @@ def test_n_below_the_domain_is_invalid_even_when_forced(oracle, force):
     with pytest.raises(ValueError) as exc:
         oracle(1, force=force)
     assert not isinstance(exc.value, GuardRangeError)
+
+
+@pytest.mark.parametrize("n", [True, False, 3.0, "3", None])
+@pytest.mark.parametrize("oracle", [
+    count_parking_functions, count_prime_parking_functions,
+    verify_bijection, verify_proposition,
+])
+def test_n_must_be_an_int(oracle, n):
+    with pytest.raises(ValueError) as exc:
+        oracle(n, force=True)
+    assert not isinstance(exc.value, GuardRangeError)
+    assert str(exc.value) == f"{oracle.__name__} needs an integer n (got n={n!r})"
 
 
 # The orbit oracles against the word-by-word scans in word_oracle.py.
@@ -283,3 +298,75 @@ def test_equivariance_check_catches_a_decompose_wrong_off_sorted_words():
         return decompose(word) if list(word) == sorted(word) else moved(word)
 
     assert _not_equivariant(wrong, 3) == (1, 2, 1)
+
+
+# The orbit weight table and the prime-shift table against their definitions.
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+@pytest.mark.parametrize("max_label", range(1, 9))
+def test_weights_match_the_multinomial(max_label, length):
+    fact = [math.factorial(i) for i in range(length + 1)]
+    expected = []
+    for q in itertools.combinations_with_replacement(range(1, max_label + 1), length):
+        runs = 1
+        for x in set(q):
+            runs *= fact[q.count(x)]
+        expected.append(fact[length] // runs)
+    assert _weights(max_label, length) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_prime_shift_table_matches_its_definition(n):
+    m = n - 1
+    primes = {q for q, _ in _orbits(m, n) if parkfunc.enumeration._prime_sorted(q)}
+    table = _prime_shifts(primes, m)
+    for a, _ in _orbits(m, n):
+        direct = [kk for kk in range(1, m + 1)
+                  if tuple(sorted(_shift_down(a, kk, m))) in primes]
+        assert table.get(a, []) == direct, a
+    assert set(table) <= {a for a, _ in _orbits(m, n)}
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("count", [count_parking_functions, count_prime_parking_functions])
+def test_a_short_weight_table_fails_the_count(monkeypatch, count, n):
+    real = parkfunc.enumeration._weights
+    monkeypatch.setattr(parkfunc.enumeration, "_weights", lambda m, l: real(m, l)[:-1])
+    with pytest.raises(InvariantError):
+        count(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("kernel,count,drop", [
+    ("_parks_sorted", count_parking_functions, 0),  # words over [n]
+    ("_prime_sorted", count_prime_parking_functions, 1),  # words over [n-1]
+])
+def test_swapped_adjacent_weights_fail_the_count(monkeypatch, kernel, count, drop, n):
+    # Swapping keeps the table's length and sum; it must still move the count
+    # wherever the two sorted words get different verdicts.
+    real = parkfunc.enumeration._weights
+    verdicts = [getattr(parkfunc.enumeration, kernel)(q) for q, _ in _orbits(n - drop, n)]
+    weights = real(n - drop, n)
+    swaps = [i for i in range(len(weights) - 1)
+             if weights[i] != weights[i + 1] and verdicts[i] != verdicts[i + 1]]
+    assert swaps
+    for i in swaps:
+        swapped = list(weights)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        monkeypatch.setattr(parkfunc.enumeration, "_weights", lambda m, l: list(swapped))
+        assert count(n).agrees is False, i
+
+
+@pytest.mark.parametrize("oracle,n", [(count_parking_functions, 7), (verify_bijection, 6)])
+def test_oracles_leave_no_cyclic_garbage(oracle, n):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        oracle(n)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
