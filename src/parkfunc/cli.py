@@ -41,15 +41,16 @@ def render_street(cars, labels):
 
 
 def _emit(args, text, record):
-    print(json.dumps(record) if args.json else text)
+    """Print the JSON record, or else the text view; `text` builds it when called."""
+    print(json.dumps(record) if args.json else text())
 
 
 def _cmd_check(args):
     word = parse_word(args.word)
     result = is_prime_parking_function(word) if args.prime else is_parking_function(word)
-    _emit(args, str(result).lower(), {
+    _emit(args, lambda: str(result).lower(), {
         "command": "check",
-        "word": list(word),
+        "word": word,
         "prime": args.prime,
         "result": result,
     })
@@ -59,11 +60,11 @@ def _cmd_check(args):
 def _cmd_decompose(args):
     word = parse_word(args.word)
     k, b = decompose(word)
-    _emit(args, f"k={k} b={format_word(b)}", {
+    _emit(args, lambda: f"k={k} b={format_word(b)}", {
         "command": "decompose",
-        "word": list(word),
+        "word": word,
         "k": k,
-        "b": list(b),
+        "b": b,
     })
     return 0
 
@@ -71,11 +72,11 @@ def _cmd_decompose(args):
 def _cmd_recompose(args):
     b = parse_word(args.word)
     word = recompose(b, args.k)
-    _emit(args, format_word(word), {
+    _emit(args, lambda: format_word(word), {
         "command": "recompose",
-        "b": list(b),
+        "b": b,
         "k": args.k,
-        "word": list(word),
+        "word": word,
     })
     return 0
 
@@ -92,18 +93,20 @@ def _cmd_simulate(args):
             raise ValueError("--k only applies to --street rotated")
         street = standard_street(n) if args.street == "standard" else prime_street(n)
     outcome = simulate(word, street)
-    if outcome.success:
-        text = render_street(outcome.assignment, street)
-    else:
-        text = f"car {outcome.failed_car} leaves the street"
+
+    def text():
+        if outcome.success:
+            return render_street(outcome.assignment, street)
+        return f"car {outcome.failed_car} leaves the street"
+
     _emit(args, text, {
         "command": "simulate",
-        "word": list(word),
+        "word": word,
         "street": args.street,
         "k": args.k,
-        "labels": list(street),
+        "labels": street,
         "success": outcome.success,
-        "assignment": list(outcome.assignment) if outcome.success else None,
+        "assignment": outcome.assignment,
         "failed_car": outcome.failed_car,
     })
     return 0 if outcome.success else 1
@@ -112,10 +115,10 @@ def _cmd_simulate(args):
 def _cmd_strip(args):
     word = parse_word(args.word)
     result = strip_first_one(word)
-    _emit(args, format_word(result), {
+    _emit(args, lambda: format_word(result), {
         "command": "strip",
-        "word": list(word),
-        "result": list(result),
+        "word": word,
+        "result": result,
     })
     return 0
 
@@ -123,10 +126,13 @@ def _cmd_strip(args):
 def _cmd_count(args):
     counter = count_prime_parking_functions if args.prime else count_parking_functions
     report = counter(args.n)
-    text = (
-        f"matching={report.matching} formula={report.formula_value} "
-        f"agrees={str(report.agrees).lower()}"
-    )
+
+    def text():
+        return (
+            f"matching={report.matching} formula={report.formula_value} "
+            f"agrees={str(report.agrees).lower()}"
+        )
+
     _emit(args, text, {"command": "count", "prime": args.prime, **report.as_dict()})
     return 0 if report.agrees else 1
 
@@ -138,7 +144,7 @@ def _cmd_verify(args):
         "pak-stanley": verify_pak_stanley,
     }[args.what]
     result = checker(args.n)
-    _emit(args, str(result).lower(), {
+    _emit(args, lambda: str(result).lower(), {
         "command": "verify",
         "what": args.what,
         "n": args.n,
@@ -170,7 +176,7 @@ def _cmd_sample(args):
         "n": args.n,
         "seed": seed,
         "count": args.count,
-        "words": [list(w) for w in words],
+        "words": words,
     }))
     return 0
 
@@ -191,7 +197,7 @@ def _cmd_shi(args):
         "regions": [
             {
                 "signs": r.sign_vector.as_string(),
-                "label": list(r.label),
+                "label": r.label,
                 "bounded": r.bounded,
                 "depth": r.bfs_depth,
             }

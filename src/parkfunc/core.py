@@ -45,13 +45,27 @@ def parse_word(text):
     parts = text.replace(",", " ").split()
     if not parts:
         raise ValueError("empty word literal")
-    word = []
+    # One C pass checks that every part is decimal, one converts them all.
+    if "".join(parts).isdecimal():
+        try:
+            word = tuple(map(int, parts))
+        except ValueError:  # an entry longer than int() converts
+            word = (0,)
+        if 0 not in word:
+            return word
+    raise ValueError(f"bad word entry {_first_bad_entry(parts)!r}: expected a positive integer")
+
+
+def _first_bad_entry(parts):
+    """The first part that is not a positive integer, cut short if int() cannot read it."""
     for p in parts:
-        x = int(p) if p.isdecimal() else 0
-        if x < 1:
-            raise ValueError(f"bad word entry {p!r}: expected a positive integer")
-        word.append(x)
-    return tuple(word)
+        if not p.isdecimal():
+            return p
+        try:
+            if int(p) < 1:
+                return p
+        except ValueError:
+            return p[:20] + "\u2026"
 
 
 def format_word(word):

@@ -13,6 +13,7 @@ parking function.
 """
 
 import itertools
+import operator
 import random
 from typing import NamedTuple
 
@@ -53,16 +54,23 @@ def _scores(q):
     """``scores`` without input checks: q is a nondecreasing word over [n-1], n >= 2."""
     n = len(q)
     total = sum(q)
-    values = tuple(total - n * q[i] + i * (n - 1) for i in range(n))
+    # s_i = (total + (i-1)(n-1)) - n*q_i, one map over q in C.
+    values = tuple(map(operator.sub, range(total, total + n * (n - 1), n - 1),
+                       map(operator.mul, itertools.repeat(n), q)))
     best = min(values)
     if values.count(best) != 1:
         raise InvariantError(f"score tie for {q}: the minimizer must be unique")
     return ScoreVector(values=values, argmin=values.index(best) + 1)
 
 
+def _shift_table(k, m):
+    """table[a] = ((a - k) mod m) + 1 for a in [m]: k..m go to 1..m-k+1, the rest follow."""
+    return [None, *range(m - k + 2, m + 1), *range(1, m - k + 2)]
+
+
 def _shift_down(word, k, m):
-    """Map each entry a to ((a - k) mod m) + 1."""
-    return tuple((a - k) % m + 1 for a in word)
+    """Map each entry a of a word over [m] to ((a - k) mod m) + 1."""
+    return tuple(map(_shift_table(k, m).__getitem__, word))
 
 
 def decompose(word):
@@ -81,8 +89,13 @@ def decompose(word):
     _check_range(word, n - 1)
     q = tuple(sorted(word))
     k = q[_scores(q).argmin - 1]
-    b = _shift_down(word, k, n - 1)
-    if not _prime_sorted(sorted(b)):
+    # itemgetter reads the table in C, and returns a tuple since n >= 2.
+    table = _shift_table(k, n - 1)
+    b = operator.itemgetter(*word)(table)
+    # The shift sends the entries >= k, in order, below the entries < k, so
+    # q rotated to start at its first k maps to b sorted.
+    i = q.index(k)
+    if not _prime_sorted(operator.itemgetter(*q[i:], *q[:i])(table)):
         raise InvariantError(f"decompose({word}) produced the non-prime word {b}")
     return Decomposition(k=k, b=b)
 
@@ -98,7 +111,9 @@ def recompose(b, k):
         raise ValueError(f"shift k must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"shift k must lie in [1, {n - 1}], got {k}")
-    return tuple((x + k - 2) % (n - 1) + 1 for x in b)
+    # table[x] = ((x + k - 2) mod (n-1)) + 1: 1..n-k go to k..n-1, the rest
+    # to 1..k-1.  itemgetter reads it in C, and returns a tuple since n >= 2.
+    return operator.itemgetter(*b)([None, *range(k, n), *range(1, k)])
 
 
 def iter_primes(n, seed):

@@ -44,3 +44,11 @@ def run_python(*args):
         text=True,
         timeout=60,
     )
+
+
+def oversize_entry():
+    """A decimal entry one digit longer than int() converts; skips if unlimited."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts strings of any length here")
+    return "9" * (limit + 1)

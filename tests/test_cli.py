@@ -12,7 +12,8 @@ import parkfunc.shi
 from parkfunc import format_word
 from parkfunc.cli import render_street, run
 from conftest import (
-    CARS_PRIME15, CARS_STANDARD15, PRIME15, SHIFT15, WORD15, python_env, run_python,
+    CARS_PRIME15, CARS_STANDARD15, PRIME15, SHIFT15, WORD15, oversize_entry, python_env,
+    run_python,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +55,153 @@ class TestGoldenTranscripts:
             CARS_PRIME15, (10, 10, 11, 12, 13, 14) + tuple(range(1, 10))
         )
         assert (GOLDEN / "simulate_rotated.txt").read_text() == rotated + "\n"
+
+
+# Exact stdout, stderr and exit code of each word subcommand, in text and
+# --json, and of each bad-input error.  JSON records hold the words as tuples
+# and the text view is built only when printed; neither may change a byte.
+TRANSCRIPTS = [
+    (('check', '--word', '1,4,2,1'), 0, 'true\n', ''),
+    (('check', '--word', '1,4,2,1', '--json'), 0, '{"command": "check", "word": [1, 4, 2, 1], "prime": false, "result": true}\n', ''),
+    (('check', '--word', '2,2'), 1, 'false\n', ''),
+    (('check', '--word', '2,2', '--json'), 1, '{"command": "check", "word": [2, 2], "prime": false, "result": false}\n', ''),
+    (('check', '--word', '1,1,2', '--prime'), 0, 'true\n', ''),
+    (('check', '--word', '1,1,2', '--prime', '--json'), 0, '{"command": "check", "word": [1, 1, 2], "prime": true, "result": true}\n', ''),
+    (('check', '--word', '1 2 2', '--prime'), 1, 'false\n', ''),
+    (('check', '--word', '1 2 2', '--prime', '--json'), 1, '{"command": "check", "word": [1, 2, 2], "prime": true, "result": false}\n', ''),
+    (('decompose', '--word', '3,2,3,1'), 0, 'k=3 b=1,3,1,2\n', ''),
+    (('decompose', '--word', '3,2,3,1', '--json'), 0, '{"command": "decompose", "word": [3, 2, 3, 1], "k": 3, "b": [1, 3, 1, 2]}\n', ''),
+    (('recompose', '--word', '2,1,2,3', '--k', '2'), 0, '3,2,3,1\n', ''),
+    (('recompose', '--word', '2,1,2,3', '--k', '2', '--json'), 0, '{"command": "recompose", "b": [2, 1, 2, 3], "k": 2, "word": [3, 2, 3, 1]}\n', ''),
+    (('simulate', '--word', '2,1,2'), 0, 'cars  | 2 1 3\nspots | 1 2 3\n', ''),
+    (('simulate', '--word', '2,1,2', '--json'), 0, '{"command": "simulate", "word": [2, 1, 2], "street": "standard", "k": null, "labels": [1, 2, 3], "success": true, "assignment": [2, 1, 3], "failed_car": null}\n', ''),
+    (('simulate', '--word', '2,2', '--street', 'standard'), 1, 'car 2 leaves the street\n', ''),
+    (('simulate', '--word', '2,2', '--street', 'standard', '--json'), 1, '{"command": "simulate", "word": [2, 2], "street": "standard", "k": null, "labels": [1, 2], "success": false, "assignment": null, "failed_car": 2}\n', ''),
+    (('simulate', '--word', '1,1,2', '--street', 'prime'), 0, 'cars  | 1 2 3\nspots | 1 1 2\n', ''),
+    (('simulate', '--word', '1,1,2', '--street', 'prime', '--json'), 0, '{"command": "simulate", "word": [1, 1, 2], "street": "prime", "k": null, "labels": [1, 1, 2], "success": true, "assignment": [1, 2, 3], "failed_car": null}\n', ''),
+    (('simulate', '--word', '2,2,2', '--street', 'prime'), 1, 'car 2 leaves the street\n', ''),
+    (('simulate', '--word', '2,2,2', '--street', 'prime', '--json'), 1, '{"command": "simulate", "word": [2, 2, 2], "street": "prime", "k": null, "labels": [1, 1, 2], "success": false, "assignment": null, "failed_car": 2}\n', ''),
+    (('simulate', '--word', '3,2,3,1', '--street', 'rotated', '--k', '3'), 0, 'cars  | 1 3 4 2\nspots | 3 3 1 2\n', ''),
+    (('simulate', '--word', '3,2,3,1', '--street', 'rotated', '--k', '3', '--json'), 0, '{"command": "simulate", "word": [3, 2, 3, 1], "street": "rotated", "k": 3, "labels": [3, 3, 1, 2], "success": true, "assignment": [1, 3, 4, 2], "failed_car": null}\n', ''),
+    (('simulate', '--word', '3,2,3,1', '--street', 'rotated', '--k', '1'), 1, 'car 3 leaves the street\n', ''),
+    (('simulate', '--word', '3,2,3,1', '--street', 'rotated', '--k', '1', '--json'), 1, '{"command": "simulate", "word": [3, 2, 3, 1], "street": "rotated", "k": 1, "labels": [1, 1, 2, 3], "success": false, "assignment": null, "failed_car": 3}\n', ''),
+    (('simulate', '--word', '10,1,2,3,4,5,6,7,8,9'), 0, 'cars  |  2  3  4  5  6  7  8  9 10  1\nspots |  1  2  3  4  5  6  7  8  9 10\n', ''),
+    (('simulate', '--word', '10,1,2,3,4,5,6,7,8,9', '--json'), 0, '{"command": "simulate", "word": [10, 1, 2, 3, 4, 5, 6, 7, 8, 9], "street": "standard", "k": null, "labels": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], "success": true, "assignment": [2, 3, 4, 5, 6, 7, 8, 9, 10, 1], "failed_car": null}\n', ''),
+    (('strip', '--word', '2,1,1'), 0, '2,1\n', ''),
+    (('strip', '--word', '2,1,1', '--json'), 0, '{"command": "strip", "word": [2, 1, 1], "result": [2, 1]}\n', ''),
+    (('sample', '--n', '5', '--seed', '7', '--count', '3', '--json'), 0, '{"command": "sample", "n": 5, "seed": 7, "count": 3, "words": [[3, 2, 4, 1, 1], [1, 3, 1, 2, 1], [2, 1, 1, 2, 3]]}\n', ''),
+    (('check', '--word', ' , '), 2, '', 'error: empty word literal\n'),
+    (('check', '--word', ' , ', '--json'), 2, '', 'error: empty word literal\n'),
+    (('check', '--word', '1,0,1'), 2, '', "error: bad word entry '0': expected a positive integer\n"),
+    (('check', '--word', '1,0,1', '--json'), 2, '', "error: bad word entry '0': expected a positive integer\n"),
+    (('check', '--word', '1,x,00'), 2, '', "error: bad word entry 'x': expected a positive integer\n"),
+    (('check', '--word', '1,x,00', '--json'), 2, '', "error: bad word entry 'x': expected a positive integer\n"),
+    (('check', '--word', '1,²'), 2, '', "error: bad word entry '²': expected a positive integer\n"),
+    (('check', '--word', '1,²', '--json'), 2, '', "error: bad word entry '²': expected a positive integer\n"),
+    (('check', '--word', '1,-2'), 2, '', "error: bad word entry '-2': expected a positive integer\n"),
+    (('check', '--word', '1,-2', '--json'), 2, '', "error: bad word entry '-2': expected a positive integer\n"),
+    (('check', '--word', '1,5,1'), 2, '', 'error: word entry 5 exceeds the allowed maximum label 3\n'),
+    (('check', '--word', '1,5,1', '--json'), 2, '', 'error: word entry 5 exceeds the allowed maximum label 3\n'),
+    (('check', '--word', '1,5,1', '--prime'), 2, '', 'error: word entry 5 exceeds the allowed maximum label 3\n'),
+    (('check', '--word', '1,5,1', '--prime', '--json'), 2, '', 'error: word entry 5 exceeds the allowed maximum label 3\n'),
+    (('decompose', '--word', '1'), 2, '', 'error: decompose needs a word of length >= 2\n'),
+    (('decompose', '--word', '1', '--json'), 2, '', 'error: decompose needs a word of length >= 2\n'),
+    (('decompose', '--word', '1,2'), 2, '', 'error: word entry 2 exceeds the allowed maximum label 1\n'),
+    (('decompose', '--word', '1,2', '--json'), 2, '', 'error: word entry 2 exceeds the allowed maximum label 1\n'),
+    (('recompose', '--word', '1', '--k', '1'), 2, '', 'error: recompose needs a word of length >= 2\n'),
+    (('recompose', '--word', '1', '--k', '1', '--json'), 2, '', 'error: recompose needs a word of length >= 2\n'),
+    (('recompose', '--word', '1,3,1', '--k', '1'), 2, '', 'error: word entry 3 exceeds the allowed maximum label 2\n'),
+    (('recompose', '--word', '1,3,1', '--k', '1', '--json'), 2, '', 'error: word entry 3 exceeds the allowed maximum label 2\n'),
+    (('recompose', '--word', '1,2,1', '--k', '3'), 2, '', 'error: shift k must lie in [1, 2], got 3\n'),
+    (('recompose', '--word', '1,2,1', '--k', '3', '--json'), 2, '', 'error: shift k must lie in [1, 2], got 3\n'),
+    (('recompose', '--word', '1,2,1', '--k', '0'), 2, '', 'error: shift k must lie in [1, 2], got 0\n'),
+    (('recompose', '--word', '1,2,1', '--k', '0', '--json'), 2, '', 'error: shift k must lie in [1, 2], got 0\n'),
+    (('simulate', '--word', '1,1', '--street', 'rotated'), 2, '', 'error: the rotated street requires --k\n'),
+    (('simulate', '--word', '1,1', '--street', 'rotated', '--json'), 2, '', 'error: the rotated street requires --k\n'),
+    (('simulate', '--word', '1,1', '--k', '1'), 2, '', 'error: --k only applies to --street rotated\n'),
+    (('simulate', '--word', '1,1', '--k', '1', '--json'), 2, '', 'error: --k only applies to --street rotated\n'),
+    (('simulate', '--word', '1,1,1', '--street', 'rotated', '--k', '3'), 2, '', 'error: rotation k must lie in [1, 2], got 3\n'),
+    (('simulate', '--word', '1,1,1', '--street', 'rotated', '--k', '3', '--json'), 2, '', 'error: rotation k must lie in [1, 2], got 3\n'),
+    (('simulate', '--word', '1', '--street', 'prime'), 2, '', 'error: prime street needs n >= 2\n'),
+    (('simulate', '--word', '1', '--street', 'prime', '--json'), 2, '', 'error: prime street needs n >= 2\n'),
+    (('simulate', '--word', '5,9,1'), 2, '', 'error: preference 5 does not appear on the street\n'),
+    (('simulate', '--word', '5,9,1', '--json'), 2, '', 'error: preference 5 does not appear on the street\n'),
+    (('simulate', '--word', '1,3,3', '--street', 'prime'), 2, '', 'error: preference 3 does not appear on the street\n'),
+    (('simulate', '--word', '1,3,3', '--street', 'prime', '--json'), 2, '', 'error: preference 3 does not appear on the street\n'),
+    (('strip', '--word', '2,2'), 2, '', 'error: word has no entry equal to 1, nothing to strip\n'),
+    (('strip', '--word', '2,2', '--json'), 2, '', 'error: word has no entry equal to 1, nothing to strip\n'),
+    (('sample', '--n', '4', '--seed', '1', '--count', '0', '--json'), 2, '', 'error: --count must be at least 1\n'),
+    (('sample', '--n', '4', '--json'), 2, '', 'error: --seed is required with --json for reproducibility\n'),
+    (('sample', '--n', '1', '--seed', '1', '--json'), 2, '', 'error: sampling needs n >= 2\n'),
+]
+
+
+class TestByteExactOutput:
+    @pytest.mark.parametrize("argv,code,out,err", TRANSCRIPTS,
+                             ids=[" ".join(t[0]) for t in TRANSCRIPTS])
+    def test_transcript(self, capsys, argv, code, out, err):
+        assert invoke(capsys, *argv) == (code, out, err)
+
+    def test_oversize_entry_is_named(self, capsys):
+        # More digits than int() converts: the message names the entry, cut short.
+        entry = oversize_entry()
+        code, out, err = invoke(capsys, "check", "--word", f"1,{entry}", "--json")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad word entry '{entry[:20]}\u2026': expected a positive integer\n"
+
+
+# One --json request per word subcommand and outcome: (argv, exit code).
+JSON_REQUESTS = [
+    (["check", "--word", "1,4,2,1"], 0),
+    (["check", "--word", "2,2"], 1),
+    (["check", "--word", "1,1,2", "--prime"], 0),
+    (["decompose", "--word", "3,2,3,1"], 0),
+    (["recompose", "--word", "2,1,2,3", "--k", "2"], 0),
+    (["simulate", "--word", "2,1,2"], 0),
+    (["simulate", "--word", "2,2"], 1),
+    (["simulate", "--word", "1,1,2", "--street", "prime"], 0),
+    (["simulate", "--word", "2,2,2", "--street", "prime"], 1),
+    (["simulate", "--word", "3,2,3,1", "--street", "rotated", "--k", "3"], 0),
+    (["simulate", "--word", "3,2,3,1", "--street", "rotated", "--k", "1"], 1),
+    (["strip", "--word", "2,1,1"], 0),
+    (["sample", "--n", "5", "--seed", "7", "--count", "3"], 0),
+]
+
+
+class TestJsonBuildsNoText:
+    def test_json_mode_formats_no_text(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the text view was built under --json")
+
+        monkeypatch.setattr(parkfunc.cli, "render_street", refuse)
+        monkeypatch.setattr(parkfunc.cli, "format_word", refuse)
+        for argv, code in JSON_REQUESTS:
+            got, out, err = invoke(capsys, *argv, "--json")
+            assert (got, err) == (code, ""), argv
+            assert json.loads(out)["command"] == argv[0]
+
+    def test_text_mode_still_formats(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(parkfunc.cli, "render_street",
+                            counted("render_street", render_street))
+        monkeypatch.setattr(parkfunc.cli, "format_word", counted("format_word", format_word))
+        expected = {
+            "decompose": ["format_word"], "recompose": ["format_word"],
+            "strip": ["format_word"], "simulate": ["render_street"],
+            "sample": ["format_word"] * 3,
+        }
+        for argv, code in JSON_REQUESTS:
+            calls.clear()
+            assert invoke(capsys, *argv)[0] == code, argv
+            wanted = expected.get(argv[0], []) if code == 0 else []
+            assert calls == wanted, argv
 
 
 class TestCheck:

@@ -18,8 +18,8 @@ from parkfunc import (
     standard_street,
     strip_first_one,
 )
-from parkfunc.core import _parks_sorted, _prime_sorted
-from conftest import CARS_PRIME15, CARS_STANDARD15, SHIFT15
+from parkfunc.core import _first_positions, _parks_sorted, _prime_sorted
+from conftest import CARS_PRIME15, CARS_STANDARD15, SHIFT15, oversize_entry
 
 
 class TestWordLiterals:
@@ -44,6 +44,18 @@ class TestWordLiterals:
     def test_error_names_the_first_bad_entry(self, text, entry):
         with pytest.raises(ValueError, match=f"^bad word entry {entry}:"):
             parse_word(text)
+
+    def test_oversize_entry_is_a_bad_entry(self):
+        # int() refuses more digits than its limit; the message still names
+        # the entry, cut to its first 20 characters.
+        entry = oversize_entry()
+        message = f"bad word entry '{entry[:20]}\u2026': expected a positive integer"
+        with pytest.raises(ValueError) as exc:
+            parse_word(f"1,{entry},0")
+        assert str(exc.value) == message
+        with pytest.raises(ValueError, match="^bad word entry '0':"):
+            parse_word(f"1,0,{entry}")
+        assert parse_word(entry[1:]) == (int(entry[1:]),)
 
 
 class TestSortedRearrangement:
@@ -198,6 +210,18 @@ class TestSimulate:
     def test_missing_label_is_domain_error(self):
         with pytest.raises(ValueError):
             simulate((2, 15), prime_street(2))
+
+    def test_first_missing_preference_is_named(self):
+        with pytest.raises(ValueError, match="^preference 5 does not appear"):
+            simulate((5, 9, 1), standard_street(3))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_first_positions_are_leftmost(self, n):
+        streets = [standard_street(n)]
+        if n >= 2:
+            streets += [prime_street(n)] + [rotated_street(n, k) for k in range(1, n)]
+        for street in streets:
+            assert _first_positions(street) == {x: street.index(x) for x in street}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_equivalence_with_sorted_criterion(self, n):

@@ -143,6 +143,28 @@ class TestDecompose:
         assert recompose(b, k) == a
 
 
+class TestShiftArithmetic:
+    """The shift tables against the congruences they encode, not one another."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_label_and_shift(self, m):
+        labels = tuple(range(1, m + 1))
+        b = labels + (1,)  # a word of length n = m + 1 over [m]
+        for k in labels:
+            assert _shift_down(labels, k, m) == tuple((a - k) % m + 1 for a in labels)
+            assert recompose(b, k) == tuple((x + k - 2) % m + 1 for x in b)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_decompose_shifts_by_its_k(self, m):
+        shifts = set()
+        for last in range(1, m + 1):
+            a = tuple(range(1, m + 1)) + (last,)
+            k, b = decompose(a)
+            assert b == tuple((x - k) % m + 1 for x in a)
+            shifts.add(k)
+        assert shifts == set(range(1, m + 1))  # every table is read
+
+
 class TestRecompose:
     def test_fifteen_car_example(self):
         assert recompose(PRIME15, SHIFT15) == WORD15
