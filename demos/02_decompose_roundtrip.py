@@ -7,7 +7,6 @@ found by scoring the sorted word and locating the unique minimal score.
 """
 
 from parkfunc import decompose, recompose, scores, sorted_rearrangement
-from parkfunc.cycle_lemma import _shift_down
 
 a = (3, 13, 6, 3, 7, 3, 2, 1, 10, 11, 6, 7, 14, 10, 11)
 n = len(a)
@@ -37,7 +36,7 @@ bad = 0
 for word in product(range(1, m + 1), repeat=m + 1):
     prime_shifts = [
         kk for kk in range(1, m + 1)
-        if is_prime_parking_function(_shift_down(word, kk, m))
+        if is_prime_parking_function(tuple((x - kk) % m + 1 for x in word))
     ]
     assert prime_shifts == [decompose(word).k]
 print(f"\nevery word in [3]^4 has exactly one prime shift: verified "

@@ -29,7 +29,7 @@ from .cycle_lemma import decompose, iter_primes, recompose, sample_primes
 from .enumeration import count_parking_functions, count_prime_parking_functions
 from .enumeration import verify_bijection, verify_proposition
 from .errors import GuardRangeError
-from .shi import enumerate_regions, iter_regions, verify_pak_stanley
+from .shi import enumerate_regions, verify_pak_stanley
 
 
 def render_street(cars, labels):
@@ -182,10 +182,9 @@ def _cmd_sample(args):
 
 
 def _cmd_shi(args):
+    regions = enumerate_regions(args.n)
     if not args.json:
-        # Print each region as the walk reaches it, so a reader that stops
-        # early (as `| head`) stops the walk too, as with `sample`.
-        for r in iter_regions(args.n):
+        for r in regions:
             print(
                 f"{r.sign_vector.as_string()} {format_word(r.label)} "
                 f"{str(r.bounded).lower()} {r.bfs_depth}"
@@ -201,7 +200,7 @@ def _cmd_shi(args):
                 "bounded": r.bounded,
                 "depth": r.bfs_depth,
             }
-            for r in enumerate_regions(args.n)
+            for r in regions
         ],
     }))
     return 0

@@ -36,6 +36,14 @@ def _check_range(word, max_label, what="word"):
             )
 
 
+def _check_k(k, n, what):
+    """Reject a k that is not an int (a bool included) in [1, n-1]; `what` names it."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"{what} k must be an integer, got {k!r}")
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"{what} k must lie in [1, {n - 1}], got {k}")
+
+
 def parse_word(text):
     """Parse a word literal: positive integers separated by commas or spaces.
 
@@ -157,10 +165,7 @@ def rotated_street(n, k):
     """Spots labeled k, k, k+1, ..., n-1, 1, 2, ..., k-1 for k in [n-1]."""
     if n < 2:
         raise ValueError("rotated street needs n >= 2")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"rotation k must be an integer, got {k!r}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"rotation k must lie in [1, {n - 1}], got {k}")
+    _check_k(k, n, "rotation")
     return (k,) + tuple(range(k, n)) + tuple(range(1, k))
 
 

@@ -17,7 +17,7 @@ import operator
 import random
 from typing import NamedTuple
 
-from .core import _as_word, _check_range, _prime_sorted
+from .core import _as_word, _check_k, _check_range, _prime_sorted
 # bench/tracer.py patches this name here, so it stays even when unused.
 from .core import is_prime_parking_function  # noqa: F401
 from .errors import InvariantError
@@ -68,11 +68,6 @@ def _shift_table(k, m):
     return [None, *range(m - k + 2, m + 1), *range(1, m - k + 2)]
 
 
-def _shift_down(word, k, m):
-    """Map each entry a of a word over [m] to ((a - k) mod m) + 1."""
-    return tuple(map(_shift_table(k, m).__getitem__, word))
-
-
 def decompose(word):
     """Split a word over [n-1] into its unique (shift k, prime word b) pair.
 
@@ -107,10 +102,7 @@ def recompose(b, k):
     if n < 2:
         raise ValueError("recompose needs a word of length >= 2")
     _check_range(b, n - 1)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"shift k must be an integer, got {k!r}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"shift k must lie in [1, {n - 1}], got {k}")
+    _check_k(k, n, "shift")
     # table[x] = ((x + k - 2) mod (n-1)) + 1: 1..n-k go to k..n-1, the rest
     # to 1..k-1.  itemgetter reads it in C, and returns a tuple since n >= 2.
     return operator.itemgetter(*b)([None, *range(k, n), *range(1, k)])

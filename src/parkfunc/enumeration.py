@@ -145,18 +145,11 @@ class CountReport:
         return asdict(self)
 
 
-def count_parking_functions(n, force=False):
-    """Count the parking functions among the n^n words of [n]^n.
-
-    The closed form is (n+1)^(n-1).  The Konheim-Weiss kernel runs once per
-    sorted word, C(2n-1, n) calls, and each answer counts for its whole orbit.
-    Guarded to n <= 10.
-    """
-    check_guard("count_parking_functions", n, 1, 10, force)
+def _report(n, formula, tally):
+    """Time ``tally()``, which returns (total words, matching words), into a report."""
     start = time.perf_counter()
-    total, matching = _tally(_parks_sorted, n, n)
+    total, matching = tally()
     elapsed = time.perf_counter() - start
-    formula = (n + 1) ** (n - 1)
     return CountReport(
         n=n,
         total_words=total,
@@ -165,6 +158,17 @@ def count_parking_functions(n, force=False):
         agrees=matching == formula,
         elapsed=elapsed,
     )
+
+
+def count_parking_functions(n, force=False):
+    """Count the parking functions among the n^n words of [n]^n.
+
+    The closed form is (n+1)^(n-1).  The Konheim-Weiss kernel runs once per
+    sorted word, C(2n-1, n) calls, and each answer counts for its whole orbit.
+    Guarded to n <= 10.
+    """
+    check_guard("count_parking_functions", n, 1, 10, force)
+    return _report(n, (n + 1) ** (n - 1), lambda: _tally(_parks_sorted, n, n))
 
 
 def count_prime_parking_functions(n, force=False):
@@ -176,21 +180,9 @@ def count_prime_parking_functions(n, force=False):
     is 1 = 0^0.  Guarded to n <= 10.
     """
     check_guard("count_prime_parking_functions", n, 1, 10, force)
-    start = time.perf_counter()
     if n == 1:
-        total, matching = 1, int(_prime_sorted((1,)))
-    else:
-        total, matching = _tally(_prime_sorted, n - 1, n)
-    elapsed = time.perf_counter() - start
-    formula = (n - 1) ** (n - 1)
-    return CountReport(
-        n=n,
-        total_words=total,
-        matching=matching,
-        formula_value=formula,
-        agrees=matching == formula,
-        elapsed=elapsed,
-    )
+        return _report(n, 1, lambda: (1, int(_prime_sorted((1,)))))
+    return _report(n, (n - 1) ** (n - 1), lambda: _tally(_prime_sorted, n - 1, n))
 
 
 def verify_bijection(n, force=False):
@@ -266,7 +258,7 @@ def verify_proposition(n, force=False):
     m = n - 1
     steps = [(n + 1) ** (p - 1) for p in range(1, n)]
     shift_of = {
-        sum(steps[x - 1] for x in q): decompose(q).k for q, _ in _orbits(m, n)
+        sum(steps[x - 1] for x in q): decompose(q).k for q in _sorted_words(m, n)
     }
     full = (1 << n) - 1
     first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]

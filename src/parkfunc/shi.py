@@ -13,18 +13,6 @@ regions that are bounded modulo the all-equal line x_1 = ... = x_n
 
 Two paths build the regions.
 
-The walk, ``iter_regions``, follows that definition.  Every side of every
-hyperplane is an integer difference constraint x_v - x_u < c, so the
-geometry is shortest paths on a weighted digraph with one edge u -> v per
-hyperplane (CLRS 24.4, "Difference constraints and shortest paths").  The
-strict constraint gets the integer weight c*(n+1) - 1: a simple cycle has
-at most n edges, so the scaled cycle weight is negative exactly when the
-cycle's constants sum to at most 0, which is exactly when the strict system
-is empty.  One distance matrix per region gives its walls and its
-boundedness, and the walk streams the regions level by level.  All
-distances are plain ints; ``fractions.Fraction`` appears only in the
-witness points.  No floats.
-
 The combinatorial path, ``_regions``, needs no distance matrix
 (Athanasiadis-Linusson, Discrete Math. 204, 1999; Shi, LNM 1179, 1986).  A
 region orders its coordinates, y_1 > ... > y_n with y_p = x_{w(p)} for a
@@ -35,9 +23,20 @@ up-set occurs for every w; the region is w with U ∩ noninv(w), and it has
 exactly one U whose minimal elements are all non-inversions.  Each
 separating hyperplane counts once, so the label is read off directly, and
 so is boundedness.  ``enumerate_regions``, ``verify_pak_stanley`` and
-``parkfunc shi --json`` take this path; the walk stays as the
-definition-level reference that the tests compare it with, region for
-region, and ``parkfunc shi`` streams it in text mode.
+``parkfunc shi``, in text and in JSON, take this path.
+
+The walk, ``_walk``, follows the definition and is kept as the reference
+that the tests hold ``_regions`` to, region for region.  Every side of
+every hyperplane is an integer difference constraint x_v - x_u < c, so the
+geometry is shortest paths on a weighted digraph with one edge u -> v per
+hyperplane (CLRS 24.4, "Difference constraints and shortest paths").  The
+strict constraint gets the integer weight c*(n+1) - 1: a simple cycle has
+at most n edges, so the scaled cycle weight is negative exactly when the
+cycle's constants sum to at most 0, which is exactly when the strict system
+is empty.  One distance matrix per region gives its walls and its
+boundedness; ``is_feasible`` and ``is_bounded`` read the same matrix for
+any sign vector.  All distances are plain ints; ``fractions.Fraction``
+appears only in the witness points.  No floats.
 """
 
 import itertools
@@ -259,7 +258,7 @@ def is_bounded(region):
     return _strongly_connected(sv.n, dist)
 
 
-def iter_regions(n, force=False):
+def _walk(n):
     """All regions of the arrangement, labeled, by breadth-first wall crossing.
 
     Neighbors of a region lie across its walls; a crossing flips exactly one
@@ -270,21 +269,9 @@ def iter_regions(n, force=False):
     matrix is read, and the walk keeps only the previous, current and next
     levels: a region's depth is the number of hyperplanes separating it
     from the base chamber, so a crossing changes the depth by exactly 1.
-    n is checked here, before the first region.  Guarded to n <= 6: each
-    region costs one O(n^3) distance matrix, so n=6 (16,807 regions) takes
-    about a second, while n=7 (262,144 regions, at most 34,230 in one
-    level) takes about half a minute and needs ``force=True``.
-
-    This is the definition-level path, kept as the reference that the tests
-    hold ``enumerate_regions`` to, and the stream that ``parkfunc shi``
-    prints in text mode, where a reader that stops early stops the walk.
-    Callers that want the whole list take ``enumerate_regions``.
+    n is not checked.  Each region costs one O(n^3) distance matrix, so
+    n=6 (16,807 regions) takes about a second.
     """
-    check_guard("iter_regions", n, 2, 6, force)
-    return _walk(n)
-
-
-def _walk(n):
     hps = hyperplanes(n)
     base = base_region(n).signs
     previous = {}
@@ -399,13 +386,14 @@ def _regions(n):
 
 
 def enumerate_regions(n, force=False):
-    """The regions of ``iter_regions(n, force)``, as a list in the same order.
+    """Every region, labeled, as a list ordered by depth, then sign string.
 
     Built by ``_regions`` from the (w, U) pairs of the module docstring, with
-    no distance matrix, then sorted by depth and sign string, the walk's
-    order.  On a shared 2-core machine with Python 3.11 it takes 1.0 ms at
-    n=4, 16 ms at n=5 and 0.27 s at n=6, about a quarter of the walk's time.
-    Guarded to n <= 6, as the walk is; a forced n=7 takes about 5 s.
+    no distance matrix, then sorted into the order of the walk ``_walk``:
+    level by level, each level by sign string.  On a shared 2-core machine
+    with Python 3.11 it takes 1.0 ms at n=4, 16 ms at n=5 and 0.27 s at n=6,
+    about a quarter of the walk's time.  Guarded to n <= 6; a forced n=7
+    takes about 5 s.
     """
     check_guard("enumerate_regions", n, 2, 6, force)
     # '+' sorts before '-', so ascending sign strings are descending sign

@@ -423,12 +423,13 @@ class TestShi:
             "-- 2,1 false 1\n"
         )
 
-    def test_json_matches_text(self, capsys):
-        _, text, _ = invoke(capsys, "shi", "--n", "3")
-        _, blob, _ = invoke(capsys, "shi", "--n", "3", "--json")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_json_matches_text(self, capsys, n):
+        _, text, _ = invoke(capsys, "shi", "--n", str(n))
+        _, blob, _ = invoke(capsys, "shi", "--n", str(n), "--json")
         records = json.loads(blob)["regions"]
         lines = text.splitlines()
-        assert len(records) == len(lines) == 16
+        assert len(records) == len(lines) == (n + 1) ** (n - 1)
         for line, record in zip(lines, records):
             signs, label, bounded, depth = line.split()
             assert signs == record["signs"]
@@ -436,39 +437,25 @@ class TestShi:
             assert bounded == str(record["bounded"]).lower()
             assert int(depth) == record["depth"]
 
-    def test_guard(self, capsys):
-        code, _, err = invoke(capsys, "shi", "--n", "7")
-        assert code == 3 and "force" not in err
+    # A guard trip exits 3 and an n below the domain is invalid input (2);
+    # neither message offers `force`, which no flag can set.
+    @pytest.mark.parametrize("n,code,err", [
+        ("7", 3, "error: enumerate_regions is guarded to n <= 6 (got n=7)\n"),
+        ("1", 2, "error: enumerate_regions needs n >= 2 (got n=1)\n"),
+    ])
+    def test_errors_are_the_same_in_both_modes(self, capsys, n, code, err):
+        assert invoke(capsys, "shi", "--n", n) == (code, "", err)
+        assert invoke(capsys, "shi", "--n", n, "--json") == (code, "", err)
 
-    def test_text_mode_walks_as_it_prints(self, monkeypatch):
-        matrices = 0
-        distances = parkfunc.shi._distances
+    def test_builds_no_distance_matrix(self, capsys, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("parkfunc shi built a distance matrix")
 
-        def counted(n, edges):
-            nonlocal matrices
-            matrices += 1
-            return distances(n, edges)
-
-        class OneLinePipe(io.StringIO):
-            """A stdout whose reader leaves after the first line."""
-
-            def write(self, text):
-                if "\n" in self.getvalue():
-                    raise BrokenPipeError
-                return super().write(text)
-
-        out = OneLinePipe()
-        monkeypatch.setattr(parkfunc.shi, "_distances", counted)
-        monkeypatch.setattr(sys, "stdout", out)
-        with pytest.raises(BrokenPipeError):
-            run(["shi", "--n", "6"])
-        assert out.getvalue().count("\n") == 1
-        assert matrices <= 2
-
-    def test_n_below_the_domain_is_invalid_not_guarded(self, capsys):
-        code, _, err = invoke(capsys, "shi", "--n", "1")
-        assert code == 2
-        assert "needs n >= 2" in err and "force" not in err
+        monkeypatch.setattr(parkfunc.shi, "_distances", refuse)
+        code, text, _ = invoke(capsys, "shi", "--n", "4")
+        assert code == 0 and len(text.splitlines()) == 125
+        code, blob, _ = invoke(capsys, "shi", "--n", "4", "--json")
+        assert code == 0 and len(json.loads(blob)["regions"]) == 125
 
 
 class TestParserReuse:

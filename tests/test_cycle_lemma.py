@@ -13,7 +13,7 @@ from parkfunc import (
     scores,
     sorted_rearrangement,
 )
-from parkfunc.cycle_lemma import _shift_down
+from parkfunc.cycle_lemma import _shift_table
 from conftest import PRIME15, SHIFT15, WORD15, run_python
 
 
@@ -21,7 +21,7 @@ def brute_force_shift(word):
     """Independent oracle: try every shift, return those giving a prime word."""
     m = len(word) - 1
     return [k for k in range(1, m + 1)
-            if is_prime_parking_function(_shift_down(word, k, m))]
+            if is_prime_parking_function(tuple((a - k) % m + 1 for a in word))]
 
 
 class TestScores:
@@ -151,7 +151,9 @@ class TestShiftArithmetic:
         labels = tuple(range(1, m + 1))
         b = labels + (1,)  # a word of length n = m + 1 over [m]
         for k in labels:
-            assert _shift_down(labels, k, m) == tuple((a - k) % m + 1 for a in labels)
+            table = _shift_table(k, m)
+            assert len(table) == m + 1
+            assert [table[a] for a in labels] == [(a - k) % m + 1 for a in labels]
             assert recompose(b, k) == tuple((x + k - 2) % m + 1 for x in b)
 
     @pytest.mark.parametrize("m", range(1, 13))

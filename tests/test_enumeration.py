@@ -21,7 +21,6 @@ from parkfunc import (
     verify_bijection,
     verify_proposition,
 )
-from parkfunc.cycle_lemma import _shift_down
 from parkfunc.enumeration import _orbits, _prime_shifts, _weights
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
@@ -280,7 +279,7 @@ def _not_equivariant(decompose, n):
     m = n - 1
     for w in all_words(m, n):
         k = decompose(tuple(sorted(w))).k
-        if tuple(decompose(w)) != (k, _shift_down(w, k, m)):
+        if tuple(decompose(w)) != (k, tuple((x - k) % m + 1 for x in w)):
             return w
     return None
 
@@ -323,7 +322,7 @@ def test_prime_shift_table_matches_its_definition(n):
     table = _prime_shifts(primes, m)
     for a, _ in _orbits(m, n):
         direct = [kk for kk in range(1, m + 1)
-                  if tuple(sorted(_shift_down(a, kk, m))) in primes]
+                  if tuple(sorted((x - kk) % m + 1 for x in a)) in primes]
         assert table.get(a, []) == direct, a
     assert set(table) <= {a for a, _ in _orbits(m, n)}
 

@@ -19,7 +19,6 @@ from parkfunc import (
     is_feasible,
     is_parking_function,
     is_prime_parking_function,
-    iter_regions,
     verify_pak_stanley,
 )
 from parkfunc import shi
@@ -229,7 +228,7 @@ class TestRegions:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(shi, name, counted)
-        assert len(list(iter_regions(4))) == 125
+        assert len(list(shi._walk(4))) == 125
         assert calls == {"_edges": 125, "_distances": 125}
 
     def test_crossing_toward_the_base_must_reach_the_previous_level(
@@ -256,19 +255,14 @@ class TestRegions:
             "toward the base chamber misses depth 1"
         )
         with pytest.raises(InvariantError, match=re.escape(message)):
-            list(iter_regions(3))
+            list(shi._walk(3))
 
     def test_walk_into_an_empty_region_raises(self, monkeypatch):
         monkeypatch.setattr(shi, "_distances", lambda n, edges: None)
         with pytest.raises(InvariantError, match=r"empty region \+- \(n=2\)"):
-            list(iter_regions(2))
+            list(shi._walk(2))
 
     def test_guard(self):
-        # iter_regions checks n when called, before the first region.
-        with pytest.raises(GuardRangeError):
-            iter_regions(7)
-        with pytest.raises(ValueError, match="needs n >= 2"):
-            iter_regions(1)
         with pytest.raises(GuardRangeError):
             enumerate_regions(7)
         with pytest.raises(GuardRangeError):
@@ -276,7 +270,7 @@ class TestRegions:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_combinatorial_path_equals_the_walk(self, n):
-        assert enumerate_regions(n) == list(iter_regions(n))
+        assert enumerate_regions(n) == list(shi._walk(n))
 
     def test_combinatorial_path_builds_no_distance_matrix(self, monkeypatch):
         def refuse(n, edges):

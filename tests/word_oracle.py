@@ -18,7 +18,6 @@ from parkfunc import (
     rotated_street,
     simulate,
 )
-from parkfunc.cycle_lemma import _shift_down
 from parkfunc.errors import check_guard
 
 
@@ -93,7 +92,7 @@ def verify_bijection(n, force=False):
             return False
         prime_shifts = [
             kk for kk in range(1, m + 1)
-            if is_prime_parking_function(_shift_down(a, kk, m))
+            if is_prime_parking_function(tuple((x - kk) % m + 1 for x in a))
         ]
         if prime_shifts != [k]:
             return False
