@@ -215,6 +215,7 @@ def build_parser():
         description="Parking functions: check, decompose, simulate, count, regions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subcommand parser, for `run`
 
     p = sub.add_parser("check", parents=[common], help="membership predicates")
     p.add_argument("--word", required=True, help="comma/space separated entries")
@@ -277,9 +278,35 @@ def _parser():
     return build_parser()
 
 
+def _parse(argv):
+    """``_parser().parse_args(argv)``, without its top-level pass when it can.
+
+    When argv[0] names a subcommand, the top-level parser only sets
+    ``command`` and hands argv[1:] to that subcommand's parser through
+    ``parse_known_args``; this makes the same call directly.  Any other argv
+    (empty, a leading flag, an unknown name) and any arguments left over take
+    the full parse, which reports them as it always has.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv=None):
+    """Run one request; return its exit code.
+
+    A request that names a subcommand is parsed by that subcommand's parser
+    alone, with the same namespace, usage errors and exit codes as a parse
+    by the full parser of ``build_parser``.
+    """
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -90,8 +90,16 @@ class SignVector:
             raise ValueError(
                 f"expected {self.n * (self.n - 1)} signs, got {len(self.signs)}"
             )
-        if not set(self.signs) <= {1, -1}:
-            raise ValueError("signs must be +1 or -1")
+        # Compared by value, 1.0 and True would pass as 1; the types keep them out.
+        if not set(self.signs) <= {1, -1} or not set(map(type, self.signs)) <= {int}:
+            raise ValueError("signs must be the ints +1 or -1")
+
+    @classmethod
+    def _unchecked(cls, n, signs):
+        """The sign vector of a tuple of n*(n-1) ints +1 or -1, not checked."""
+        sv = object.__new__(cls)
+        sv.__dict__.update(n=n, signs=signs)
+        return sv
 
     def as_string(self):
         return _sign_string(self.signs)
@@ -381,7 +389,8 @@ def _regions(n):
                     signs[idx] = 1
                     label[j] += 1
             yield Region(
-                SignVector(n, tuple(signs)), tuple(label), _spanned(w, m), sum(label) - n
+                SignVector._unchecked(n, tuple(signs)), tuple(label), _spanned(w, m),
+                sum(label) - n,
             )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -493,6 +494,75 @@ class TestParserReuse:
             assert built == 1
         finally:
             parkfunc.cli._parser.cache_clear()
+
+
+# Requests that `run` parses with the subcommand's parser alone, and requests
+# that must fall back to the full parser: both must match a full parse.
+DISPATCH_REQUESTS = [
+    ["check", "--word", "1,1", "--prime", "--json"],
+    ["decompose", "--word", "3,2,3,1"],
+    ["recompose", "--word", "2,1,2,3", "--k", "2", "--json"],
+    ["simulate", "--word", "3,2,3,1", "--street", "rotated", "--k", "3"],
+    ["strip", "--word", "2,1,1", "--json"],
+    ["count", "--n", "3", "--prime"],
+    ["verify", "--n", "3", "--what", "bijection", "--json"],
+    ["sample", "--n", "3", "--seed", "1", "--count", "2"],
+    ["shi", "--n", "2", "--json"],
+    *([name, "-h"] for name in
+      ("check", "decompose", "recompose", "simulate", "strip", "count", "verify",
+       "sample", "shi")),
+    ["check", "--wo", "1"],
+    ["check", "--prime"],
+    ["count", "--n", "x"],
+    ["simulate", "--word", "1", "--street", "diagonal"],
+    ["check", "--word", "1", "extra"],
+    ["check", "--word", "1", "--bogus"],
+    ["--json", "check", "--word", "1"],
+    ["--help"],
+    ["frobnicate", "--word", "1"],
+    [],
+    ("check", "--word", "1,2"),
+]
+
+
+def full_parse(argv):
+    return parkfunc.cli.build_parser().parse_args(argv)
+
+
+class TestDispatch:
+    """`run` parses a request as a fresh full parser would, byte for byte."""
+
+    @staticmethod
+    def parsed(capsys, parse, argv):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", DISPATCH_REQUESTS, ids=repr)
+    def test_namespace_matches_a_full_parse(self, capsys, argv):
+        fast = self.parsed(capsys, parkfunc.cli._parse, argv)
+        assert fast == self.parsed(capsys, full_parse, argv)
+
+    @pytest.mark.parametrize("argv", DISPATCH_REQUESTS, ids=repr)
+    def test_run_matches_a_full_parse(self, capsys, monkeypatch, argv):
+        fast = (run(argv), *capsys.readouterr())
+        monkeypatch.setattr(parkfunc.cli, "_parse", full_parse)
+        assert fast == (run(argv), *capsys.readouterr())
+
+    def test_a_named_subcommand_skips_the_top_level_parse(self, capsys, monkeypatch):
+        def refuse(parser, argv):
+            raise AssertionError(f"{parser.prog} parsed all of {argv}")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        assert invoke(capsys, "strip", "--word", "2,1,1", "--json")[0] == 0
+
+    def test_import_builds_no_parser(self):
+        done = run_python("-c", "import parkfunc, parkfunc.cli; "
+                          "print(parkfunc.cli._parser.cache_info().currsize)")
+        assert done.stdout == "0\n", done.stderr
 
 
 class TestUsage:

@@ -137,6 +137,20 @@ class TestFeasibility:
             SignVector(3, (1, 1, 1))
         with pytest.raises(ValueError):
             SignVector(2, (1, 0))
+        # Equal to +1 and -1 by value, but not ints: no floats in the geometry.
+        with pytest.raises(ValueError):
+            SignVector(2, (1.0, -1.0))
+        with pytest.raises(ValueError):
+            SignVector(2, (True, -1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_enumerated_sign_vectors_pass_the_checks(self, n):
+        # _regions builds its sign vectors unchecked; each must be one the
+        # checked constructor accepts, and the same in value, hash and repr.
+        for region in enumerate_regions(n):
+            sv = region.sign_vector
+            checked = SignVector(n, sv.signs)
+            assert (sv, hash(sv), repr(sv)) == (checked, hash(checked), repr(checked))
 
 
 class TestRegions:
