@@ -11,6 +11,8 @@ nondecreasing rearrangement of the word.
 
 from dataclasses import dataclass
 
+from .errors import check_int, is_int
+
 
 PrefWord = tuple[int, ...]
 StreetLabels = tuple[int, ...]
@@ -38,7 +40,7 @@ def _check_range(word, max_label, what="word"):
 
 def _check_k(k, n, what):
     """Reject a k that is not an int (a bool included) in [1, n-1]; `what` names it."""
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not is_int(k):
         raise ValueError(f"{what} k must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"{what} k must lie in [1, {n - 1}], got {k}")
@@ -149,22 +151,19 @@ def strip_first_one(word):
 
 def standard_street(n):
     """Spots labeled 1, 2, ..., n."""
-    if n < 1:
-        raise ValueError("street needs at least one spot")
+    check_int(n, 1, "street size n", "street needs at least one spot")
     return tuple(range(1, n + 1))
 
 
 def prime_street(n):
     """Spots labeled 1, 1, 2, ..., n-1 (the first label is doubled)."""
-    if n < 2:
-        raise ValueError("prime street needs n >= 2")
+    check_int(n, 2, "street size n", "prime street needs n >= 2")
     return (1,) + tuple(range(1, n))
 
 
 def rotated_street(n, k):
     """Spots labeled k, k, k+1, ..., n-1, 1, 2, ..., k-1 for k in [n-1]."""
-    if n < 2:
-        raise ValueError("rotated street needs n >= 2")
+    check_int(n, 2, "street size n", "rotated street needs n >= 2")
     _check_k(k, n, "rotation")
     return (k,) + tuple(range(k, n)) + tuple(range(1, k))
 

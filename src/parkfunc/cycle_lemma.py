@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .core import _as_word, _check_k, _check_range, _prime_sorted
 # bench/tracer.py patches this name here, so it stays even when unused.
 from .core import is_prime_parking_function  # noqa: F401
-from .errors import InvariantError
+from .errors import InvariantError, check_int
 
 
 class ScoreVector(NamedTuple):
@@ -115,10 +115,10 @@ def iter_primes(n, seed):
     fixed (n, seed) always yields the same words in the same order.  Each
     draw picks a uniform word in [n-1]^n and decomposes it; by the uniqueness
     of the decomposition the image is exactly uniform over the (n-1)^(n-1)
-    prime parking functions.  n is checked here, before the first draw.
+    prime parking functions.  n is checked here, before the first draw: it
+    must be an int (not a bool) of at least 2.
     """
-    if n < 2:
-        raise ValueError("sampling needs n >= 2")
+    check_int(n, 2, "n", "sampling needs n >= 2")
     rng = random.Random(seed)
 
     def draws():
@@ -131,8 +131,7 @@ def iter_primes(n, seed):
 
 def sample_primes(n, seed, count):
     """The first `count` words of ``iter_primes(n, seed)``, as a list."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    check_int(count, 0, "count", "count must be nonnegative")
     return list(itertools.islice(iter_primes(n, seed), count))
 
 

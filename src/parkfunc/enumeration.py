@@ -20,7 +20,8 @@ same kernels.  The decomposition is equivariant by construction: k is read
 from the sorted word and b is an entrywise map of the word, so
 decompose(σa) = (k, σb) for every permutation σ of positions.  The test
 suite checks both facts word by word for small n, and checks these oracles
-against full word scans.
+against full word scans.  The bijection reads no weights: matched orbits
+have the same size by the congruence (see ``verify_bijection``).
 
 The proposition is checked for every word: whether a word parks on a
 rotated street regardless of the order of its cars is part of what it
@@ -80,11 +81,6 @@ def _sorted_words(max_label, length):
     return itertools.combinations_with_replacement(range(1, max_label + 1), length)
 
 
-def _orbits(max_label, length):
-    """Each nondecreasing word of [max_label]^length with its orbit's size."""
-    return zip(_sorted_words(max_label, length), _weights(max_label, length))
-
-
 def _tally(kernel, max_label, length):
     """(words, matching words) of [max_label]^length, one kernel call per orbit.
 
@@ -108,26 +104,6 @@ def _tally(kernel, max_label, length):
     words = _sorted_words(max_label, length)
     matching = sum(itertools.compress(weights, map(kernel, words)))
     return total, matching
-
-
-def _prime_shifts(primes, m):
-    """The shifts kk in [m] that take each sorted word a to a prime orbit.
-
-    Maps a to the ascending list of kk for which sorted(down_kk(a)) is in
-    ``primes``, where down_kk(x) = (x - kk) mod m + 1; sorted words with no
-    such kk are absent.  The table is read from the prime side: for each kk
-    and prime q it records kk under sorted(up_kk(q)), where up_kk(y) =
-    (y + kk - 2) mod m + 1 is the inverse of down_kk.  Both are entrywise
-    bijections of [m], so sorted(down_kk(a)) = q iff a = sorted(up_kk(q)).
-    That is m * len(primes) shift-and-sort steps, C(2n-2, n) for the
-    Cat(n-1) prime orbits of length n, instead of m per sorted word a.
-    """
-    table = {}
-    for kk in range(1, m + 1):
-        up = [None] + [(y + kk - 2) % m + 1 for y in range(1, m + 1)]
-        for q in primes:
-            table.setdefault(tuple(sorted(map(up.__getitem__, q))), []).append(kk)
-    return table
 
 
 @dataclass(frozen=True)
@@ -188,46 +164,43 @@ def count_prime_parking_functions(n, force=False):
 def verify_bijection(n, force=False):
     """Check the shift decomposition on every word of [n-1]^n, orbit by orbit.
 
-    For each nondecreasing representative a: the decomposition's b must be
-    prime, satisfy the congruence a_i = b_i + k - 1 (mod n-1), recompose back
-    to a, and its k must be the only shift in [n-1] whose shifted word is
-    prime.  Then the pairs (k, sorted(b)) must cover [n-1] x (prime orbits)
-    exactly once each, every pair carrying the size of its prime orbit.
+    With m = n-1, each sorted word a must give decompose(a) = (k, b) with
+    sorted(b) prime, a_i = b_i + k - 1 (mod m), k in [m] (a shift outside
+    it is a wrong answer, not bad input), recompose(b, k) == a, and a pair
+    (k, sorted(b)) not seen before.  The pairs must then be exactly
+    [m] x (prime sorted words).  No orbit size or prime-shift table is read.
 
-    This covers every word because decompose is equivariant: k is read from
-    the sorted word and b is an entrywise map of a, so decompose(σa) = (k, σb)
-    for every permutation σ of positions, by construction.  Every clause
-    then holds on the whole orbit of a, and a -> b is one-to-one on it, so
-    orbits matched with equal sizes match the words one to one.  Whether a
-    word is prime is read from the set of prime sorted words, built once
-    with the prime kernel on the sorted representatives.  The prime shifts
-    of each a are read from ``_prime_shifts``, built once from the prime
-    side: C(2n-2, n) shift-and-sort steps in all, not n-1 per orbit.
-    Guarded to n <= 8.
+    Why this is exact.  Write down_kk(x) = (x - kk) mod m + 1, a bijection
+    of [m].  sorted(b) is prime, so b's entries lie in [m] and the
+    congruence forces b = down_k(a) entry by entry: a and sorted(b) have
+    the same multiplicities, so their orbits have the same size.  decompose
+    is equivariant by construction (k is read from the sorted word and b is
+    an entrywise map of the word), so decompose(σa) = (k, σb) for every
+    permutation σ of positions, and the orbit of a maps one to one onto
+    {k} x orbit(sorted(b)).  No pair repeats, so the count identity
+    C(2n-2, n) = m * |primes| is never assumed.  And k is the only prime
+    shift: if kk != k made q' = sorted(down_kk(a)) prime, the coverage
+    gives a sorted a' with k(a') = kk and sorted(down_kk(a')) = q', so a'
+    has a's multiset, a' = a and kk = k.  Only that down_kk permutes [m] is
+    used, so the argument holds for any modulus.  Guarded to n <= 8.
     """
     check_guard("verify_bijection", n, 2, 8, force)
     m = n - 1
-    orbits = list(_orbits(m, n))
-    primes = {q: w for q, w in orbits if _prime_sorted(q)}
-    prime_shifts = _prime_shifts(primes, m)
-    seen = {}
-    for a, weight in orbits:
+    primes = set(filter(_prime_sorted, _sorted_words(m, n)))
+    seen = set()
+    for a in _sorted_words(m, n):
         k, b = decompose(a)
-        b_orbit = tuple(sorted(b))
-        if b_orbit not in primes:
+        q = tuple(sorted(b))
+        if q not in primes:
             return False
         if any((a[i] - b[i] - k + 1) % m != 0 for i in range(n)):
             return False
-        if recompose(b, k) != a:
+        if not 1 <= k <= m or recompose(b, k) != a:
             return False
-        if prime_shifts.get(a) != [k]:
+        if (k, q) in seen:
             return False
-        pair = (k, b_orbit)
-        if pair in seen:
-            return False
-        seen[pair] = weight
-    wanted = {(k, q): w for k in range(1, m + 1) for q, w in primes.items()}
-    return seen == wanted
+        seen.add((k, q))
+    return seen == {(kk, q) for kk in range(1, m + 1) for q in primes}
 
 
 def verify_proposition(n, force=False):

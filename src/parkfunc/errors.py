@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the integer checks at the API edges."""
 
 
 class GuardRangeError(ValueError):
@@ -18,6 +18,19 @@ class InvariantError(RuntimeError):
     """
 
 
+def is_int(value):
+    """Whether value is an int; a bool, although an int subclass, is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(value, lo, name, too_small):
+    """Reject a non-int or bool value as ``name``, and one below lo with ``too_small``."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(too_small)
+
+
 def check_guard(name, n, lo, hi, force=False):
     """Reject n below the operation's domain, and n above its guard unless forced.
 
@@ -25,7 +38,7 @@ def check_guard(name, n, lo, hi, force=False):
     input whatever ``force`` is, so it raises a plain ``ValueError``:
     forcing cannot make the operation meaningful.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_int(n):
         raise ValueError(f"{name} needs an integer n (got n={n!r})")
     if n < lo:
         raise ValueError(f"{name} needs n >= {lo} (got n={n})")

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .core import _parks_sorted, _prime_sorted
 from .enumeration import count_parking_functions, count_prime_parking_functions
-from .errors import InvariantError, check_guard
+from .errors import InvariantError, check_guard, check_int, is_int
 
 
 class Hyperplane(NamedTuple):
@@ -57,11 +57,11 @@ class Hyperplane(NamedTuple):
     k: int
 
 
-@lru_cache(maxsize=None)
+# typed: hyperplanes(2.0) must reach the check, not the cached tuple of 2.
+@lru_cache(maxsize=None, typed=True)
 def hyperplanes(n):
     """All 2*C(n,2) hyperplanes, ordered lexicographically by (i, j, k)."""
-    if n < 2:
-        raise ValueError("the arrangement needs n >= 2")
+    check_int(n, 2, "n", "the arrangement needs n >= 2")
     return tuple(
         Hyperplane(i, j, k)
         for i in range(1, n)
@@ -86,6 +86,11 @@ class SignVector:
     signs: tuple
 
     def __post_init__(self):
+        if not is_int(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        # A list would pass every other check and then fail to hash.
+        if not isinstance(self.signs, tuple):
+            raise ValueError(f"signs must be a tuple, got {type(self.signs).__name__}")
         if len(self.signs) != self.n * (self.n - 1):
             raise ValueError(
                 f"expected {self.n * (self.n - 1)} signs, got {len(self.signs)}"

@@ -173,6 +173,15 @@ class TestStreets:
             rotated_street(3, k)
         assert str(exc.value) == f"rotation k must be an integer, got {k!r}"
 
+    @pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("street", [
+        standard_street, prime_street, lambda n: rotated_street(n, 1),
+    ], ids=["standard", "prime", "rotated"])
+    def test_street_size_must_be_an_int(self, street, n):
+        with pytest.raises(ValueError) as exc:
+            street(n)
+        assert str(exc.value) == f"street size n must be an integer, got {n!r}"
+
     def test_street_length_one(self):
         assert standard_street(1) == (1,)
         with pytest.raises(ValueError):

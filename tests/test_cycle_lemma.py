@@ -190,6 +190,19 @@ class TestRecompose:
 
 
 class TestSampler:
+    @pytest.mark.parametrize("n", [True, 3.5, 3.0, "3", None])
+    def test_n_must_be_an_int_at_the_call(self, n):
+        # Checked when the iterator is made, not at its first draw.
+        with pytest.raises(ValueError) as exc:
+            iter_primes(n, 1)
+        assert str(exc.value) == f"n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("count", [True, False, 2.5, 1.0, "1", None])
+    def test_count_must_be_an_int(self, count):
+        with pytest.raises(ValueError) as exc:
+            sample_primes(3, 1, count)
+        assert str(exc.value) == f"count must be an integer, got {count!r}"
+
     def test_length_two_is_constant(self):
         for seed in range(5):
             assert sample_prime(2, seed) == (1, 1)

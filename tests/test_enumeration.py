@@ -21,7 +21,7 @@ from parkfunc import (
     verify_bijection,
     verify_proposition,
 )
-from parkfunc.enumeration import _orbits, _prime_shifts, _weights
+from parkfunc.enumeration import _sorted_words, _weights
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
 PPF_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27, 5: 256}
@@ -157,12 +157,29 @@ def _shift_moved(decompose):
     return wrong
 
 
+def _shift_mod(decompose):
+    """decompose with k reduced mod n-1: k = 0 where it should be n-1."""
+
+    def wrong(word):
+        right = decompose(word)
+        return right._replace(k=right.k % (len(word) - 1))
+
+    return wrong
+
+
 @pytest.mark.parametrize("oracle", ["verify_bijection", "verify_proposition"])
 def test_wrong_shift_fails_both_verifiers(monkeypatch, oracle):
     for module in (parkfunc.enumeration, word_oracle):
         monkeypatch.setattr(module, "decompose", _shift_moved(decompose))
     assert getattr(parkfunc.enumeration, oracle)(4) is False
     assert getattr(word_oracle, oracle)(4) is False
+    # A shift outside [n-1] keeps the congruence; it is a false answer, not
+    # bad input, so neither verifier may raise on it.
+    for module in (parkfunc.enumeration, word_oracle):
+        monkeypatch.setattr(module, "decompose", _shift_mod(decompose))
+    for n in range(3, 7):
+        assert getattr(parkfunc.enumeration, oracle)(n) is False, n
+        assert getattr(word_oracle, oracle)(n, force=True) is False, n
 
 
 def _wrong_on_orbit(decompose, q):
@@ -180,7 +197,7 @@ def _wrong_on_orbit(decompose, q):
 def test_one_wrong_orbit_fails_every_verifier(monkeypatch, n, place):
     # The merged (masks, code) pairs of the proposition check, and the
     # prime set of the bijection check, must not hide a single bad orbit.
-    reps = [q for q, _ in _orbits(n - 1, n)]
+    reps = list(_sorted_words(n - 1, n))
     q = {"first": reps[0], "middle": reps[len(reps) // 2], "last": reps[-1]}[place]
     for module in (parkfunc.enumeration, word_oracle):
         monkeypatch.setattr(module, "decompose", _wrong_on_orbit(decompose, q))
@@ -209,7 +226,7 @@ def _pick(reps, place):
     ("_prime_sorted", count_prime_parking_functions, 1),  # words over [n-1]
 ])
 def test_one_flipped_orbit_fails_the_count(monkeypatch, kernel, count, drop, n, place):
-    q = _pick([q for q, _ in _orbits(n - drop, n)], place)
+    q = _pick(list(_sorted_words(n - drop, n)), place)
     real = getattr(parkfunc.enumeration, kernel)
     monkeypatch.setattr(parkfunc.enumeration, kernel, _flipped_on(real, q))
     assert count(n).agrees is False, q
@@ -218,10 +235,14 @@ def test_one_flipped_orbit_fails_the_count(monkeypatch, kernel, count, drop, n, 
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_one_flipped_prime_orbit_fails_the_bijection(monkeypatch, n, place):
+    # Both directions: a prime orbit read as non-prime, and a non-prime orbit
+    # read as prime, which only the final coverage equality can catch.
     real = parkfunc.enumeration._prime_sorted
-    q = _pick([q for q, _ in _orbits(n - 1, n) if real(q)], place)
-    monkeypatch.setattr(parkfunc.enumeration, "_prime_sorted", _flipped_on(real, q))
-    assert verify_bijection(n) is False, q
+    reps = list(_sorted_words(n - 1, n))
+    for verdict in (True, False):
+        q = _pick([q for q in reps if real(q) is verdict], place)
+        monkeypatch.setattr(parkfunc.enumeration, "_prime_sorted", _flipped_on(real, q))
+        assert verify_bijection(n) is False, q
 
 
 def _swapped(rotated_street, k, i, j):
@@ -259,7 +280,8 @@ def test_street_swaps_give_the_word_scan_verdict(monkeypatch, n):
 @pytest.mark.parametrize("max_label", range(1, 6))
 def test_orbits_count_the_sorted_words(max_label, length):
     sizes = collections.Counter(tuple(sorted(w)) for w in all_words(max_label, length))
-    assert list(_orbits(max_label, length)) == sorted(sizes.items())
+    orbits = zip(_sorted_words(max_label, length), _weights(max_label, length))
+    assert list(orbits) == sorted(sizes.items())
 
 
 def _not_order_invariant(fn, words):
@@ -299,7 +321,7 @@ def test_equivariance_check_catches_a_decompose_wrong_off_sorted_words():
     assert _not_equivariant(wrong, 3) == (1, 2, 1)
 
 
-# The orbit weight table and the prime-shift table against their definitions.
+# The orbit weight table against its definition.
 
 
 @pytest.mark.parametrize("length", range(1, 9))
@@ -313,18 +335,6 @@ def test_weights_match_the_multinomial(max_label, length):
             runs *= fact[q.count(x)]
         expected.append(fact[length] // runs)
     assert _weights(max_label, length) == expected
-
-
-@pytest.mark.parametrize("n", range(2, 8))
-def test_prime_shift_table_matches_its_definition(n):
-    m = n - 1
-    primes = {q for q, _ in _orbits(m, n) if parkfunc.enumeration._prime_sorted(q)}
-    table = _prime_shifts(primes, m)
-    for a, _ in _orbits(m, n):
-        direct = [kk for kk in range(1, m + 1)
-                  if tuple(sorted((x - kk) % m + 1 for x in a)) in primes]
-        assert table.get(a, []) == direct, a
-    assert set(table) <= {a for a, _ in _orbits(m, n)}
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -345,7 +355,7 @@ def test_swapped_adjacent_weights_fail_the_count(monkeypatch, kernel, count, dro
     # Swapping keeps the table's length and sum; it must still move the count
     # wherever the two sorted words get different verdicts.
     real = parkfunc.enumeration._weights
-    verdicts = [getattr(parkfunc.enumeration, kernel)(q) for q, _ in _orbits(n - drop, n)]
+    verdicts = list(map(getattr(parkfunc.enumeration, kernel), _sorted_words(n - drop, n)))
     weights = real(n - drop, n)
     swaps = [i for i in range(len(weights) - 1)
              if weights[i] != weights[i + 1] and verdicts[i] != verdicts[i + 1]]

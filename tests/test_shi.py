@@ -143,6 +143,27 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             SignVector(2, (True, -1))
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2", None])
+    def test_sign_vector_n_must_be_an_int(self, n):
+        with pytest.raises(ValueError) as exc:
+            SignVector(n, () if n is True else (1, -1))
+        assert str(exc.value) == f"n must be an integer, got {n!r}"
+
+    def test_sign_vector_signs_must_be_a_tuple(self):
+        # A list would pass the other checks, and the record could not be hashed.
+        with pytest.raises(ValueError) as exc:
+            SignVector(2, [1, -1])
+        assert str(exc.value) == "signs must be a tuple, got list"
+
+    @pytest.mark.parametrize("n", [True, 2.0, 3.0, "3", None])
+    @pytest.mark.parametrize("build", [hyperplanes, base_region])
+    def test_n_must_be_an_int(self, build, n):
+        hyperplanes(2)
+        hyperplanes(3)  # cached now; the cache must not answer for 2.0 or 3.0
+        with pytest.raises(ValueError) as exc:
+            build(n)
+        assert str(exc.value) == f"n must be an integer, got {n!r}"
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_enumerated_sign_vectors_pass_the_checks(self, n):
         # _regions builds its sign vectors unchecked; each must be one the

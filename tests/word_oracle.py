@@ -76,7 +76,8 @@ def verify_bijection(n, force=False):
 
     For each word: the decomposition's b must be prime, satisfy the
     congruence a_i = b_i + k - 1 (mod n-1), recompose back to the word, and
-    its k must be the only shift in [n-1] whose shifted word is prime.
+    its k must be the only shift in [n-1] whose shifted word is prime.  A k
+    outside [n-1] is a wrong answer, so it gives False, not an error.
     Finally the (k, b) pairs must cover [n-1] x PPF_n exactly once each.
     """
     check_guard("verify_bijection", n, 2, 6, force)
@@ -88,7 +89,7 @@ def verify_bijection(n, force=False):
             return False
         if any((a[i] - b[i] - k + 1) % m != 0 for i in range(n)):
             return False
-        if recompose(b, k) != a:
+        if not 1 <= k <= m or recompose(b, k) != a:
             return False
         prime_shifts = [
             kk for kk in range(1, m + 1)
