@@ -2,9 +2,9 @@
 """Exhaustive counts against the closed forms.
 
 Parking functions of length n number (n+1)^(n-1); the prime ones number
-(n-1)^(n-1).  Both are verified here over every word of the space, one
-orbit at a time: the predicates read only the sorted word, so each sorted
-word is checked once and counts for all the words that sort to it.
+(n-1)^(n-1).  Both are recounted here over the whole word space: the
+predicates read only the sorted word, so the library counts the words
+under a bound on the sorted word, label by label, without visiting them.
 """
 
 from parkfunc import count_parking_functions, count_prime_parking_functions

@@ -60,7 +60,7 @@ def _scores(q):
     best = min(values)
     if values.count(best) != 1:
         raise InvariantError(f"score tie for {q}: the minimizer must be unique")
-    return ScoreVector(values=values, argmin=values.index(best) + 1)
+    return ScoreVector(values, values.index(best) + 1)
 
 
 def _shift_table(k, m):
@@ -78,21 +78,26 @@ def decompose(word):
     ``InvariantError`` (also under ``python -O``).
     """
     word = _as_word(word)
-    n = len(word)
-    if n < 2:
+    if len(word) < 2:
         raise ValueError("decompose needs a word of length >= 2")
-    _check_range(word, n - 1)
+    _check_range(word, len(word) - 1)
+    return _decompose(word)
+
+
+def _decompose(word):
+    """``decompose`` without input checks: word is a tuple over [n-1], n >= 2."""
     q = tuple(sorted(word))
-    k = q[_scores(q).argmin - 1]
+    # The argmin is q's first k: equal entries score higher the later they sit.
+    i = _scores(q).argmin - 1
+    k = q[i]
     # itemgetter reads the table in C, and returns a tuple since n >= 2.
-    table = _shift_table(k, n - 1)
+    table = _shift_table(k, len(word) - 1)
     b = operator.itemgetter(*word)(table)
     # The shift sends the entries >= k, in order, below the entries < k, so
     # q rotated to start at its first k maps to b sorted.
-    i = q.index(k)
     if not _prime_sorted(operator.itemgetter(*q[i:], *q[:i])(table)):
         raise InvariantError(f"decompose({word}) produced the non-prime word {b}")
-    return Decomposition(k=k, b=b)
+    return Decomposition(k, b)
 
 
 def recompose(b, k):
@@ -103,9 +108,14 @@ def recompose(b, k):
         raise ValueError("recompose needs a word of length >= 2")
     _check_range(b, n - 1)
     _check_k(k, n, "shift")
+    return _recompose(b, k)
+
+
+def _recompose(b, k):
+    """``recompose`` without input checks: b is a tuple over [n-1], k in [n-1], n >= 2."""
     # table[x] = ((x + k - 2) mod (n-1)) + 1: 1..n-k go to k..n-1, the rest
     # to 1..k-1.  itemgetter reads it in C, and returns a tuple since n >= 2.
-    return operator.itemgetter(*b)([None, *range(k, n), *range(1, k)])
+    return operator.itemgetter(*b)([None, *range(k, len(b)), *range(1, k)])
 
 
 def iter_primes(n, seed):
@@ -115,11 +125,16 @@ def iter_primes(n, seed):
     fixed (n, seed) always yields the same words in the same order.  Each
     draw picks a uniform word in [n-1]^n and decomposes it; by the uniqueness
     of the decomposition the image is exactly uniform over the (n-1)^(n-1)
-    prime parking functions.  n is checked here, before the first draw: it
-    must be an int (not a bool) of at least 2.
+    prime parking functions.  n and seed are checked here, before the first
+    draw: n must be an int (not a bool) of at least 2, and a seed that
+    ``random.Random`` refuses raises ``ValueError``.
     """
     check_int(n, 2, "n", "sampling needs n >= 2")
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError:
+        raise ValueError(f"seed must be None, an int, a float, a str, bytes or a "
+                         f"bytearray, got {seed!r}") from None
 
     def draws():
         while True:

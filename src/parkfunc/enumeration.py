@@ -5,23 +5,19 @@ recount both families against the closed forms (n+1)^(n-1) parking functions
 and (n-1)^(n-1) prime ones, and they verify the shift decomposition
 [n-1]^n <-> [n-1] x PPF_n and the rotated-street characterization.
 
-The counts and the bijection cover every word through its orbit under
-permutations of positions.  Each orbit has one nondecreasing representative
-q, and length! / prod(mult!) words sort to it (its weight).  Both families
-are decided on the sorted word alone (Konheim-Weiss), so summing the weights
-of the accepted representatives counts the whole space.  The weights come
-from one table, ``_weights``, built label by label in the order
-``itertools.combinations_with_replacement`` yields the representatives, and
-a count is two C-level sums over that table.  The representatives are
-generated sorted and in range, so the oracles call the unchecked kernels
-``core._parks_sorted`` and ``core._prime_sorted`` on them directly, once per
-orbit; the public predicates validate their input once and then call the
-same kernels.  The decomposition is equivariant by construction: k is read
-from the sorted word and b is an entrywise map of the word, so
-decompose(σa) = (k, σb) for every permutation σ of positions.  The test
-suite checks both facts word by word for small n, and checks these oracles
-against full word scans.  The bijection reads no weights: matched orbits
-have the same size by the congruence (see ``verify_bijection``).
+Both families are decided on the sorted word alone (Konheim-Weiss), so the
+counts visit no word: they count the words whose sorted form lies under a
+bound by a recurrence over the labels (``_words_under``), which must also
+recount the whole space.  The verifiers build their words sorted and in
+range, so they call the unchecked kernels behind the predicates and
+``decompose``/``recompose``; the public functions validate their input once
+and then call the same kernels.  The bijection covers each word through its
+orbit under permutations of positions: decompose is equivariant by
+construction (k is read from the sorted word and b is an entrywise map of
+the word), so decompose(σa) = (k, σb), and the congruence gives matched
+orbits the same size (see ``verify_bijection``).  The test suite checks
+equivariance word by word for small n, and these oracles against full word
+scans and a sum of orbit sizes.
 
 The proposition is checked for every word: whether a word parks on a
 rotated street regardless of the order of its cars is part of what it
@@ -35,13 +31,15 @@ whole future.
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, asdict
 
-from .core import _first_positions, _parks_sorted, _prime_sorted, rotated_street
+from .core import _first_positions, _prime_sorted, rotated_street
 # bench/tracer.py patches these names here, so they stay even when unused.
 from .core import is_parking_function, is_prime_parking_function, simulate  # noqa: F401
-from .cycle_lemma import decompose, recompose
+# The unchecked kernels, under the public names bench/tracer.py and the tests patch.
+from .cycle_lemma import _decompose as decompose, _recompose as recompose
 from .errors import InvariantError, check_guard
 
 
@@ -50,60 +48,49 @@ def all_words(max_label, length):
     return itertools.product(range(1, max_label + 1), repeat=length)
 
 
-def _weights(max_label, length):
-    """The orbit sizes of [max_label]^length, one per nondecreasing word.
-
-    A sorted word's orbit has length! / prod(mult!) words, over the
-    multiplicities of its entries.  The sizes come in the order
-    ``itertools.combinations_with_replacement`` yields the sorted words.
-    The table is built over the labels from the largest down: ``tail[left]``
-    holds prod(mult!) for every sorted word of ``left`` entries over the
-    labels taken so far, in that order, and each new (smaller) label is
-    prepended c = left, ..., 0 times, which keeps the order.
-    """
-    fact = [math.factorial(c) for c in range(length + 1)]
-    tail = [[1]] + [[] for _ in range(length)]  # no labels yet: only the empty word
-    for _ in range(max_label):
-        grown = []
-        for left in range(length + 1):
-            row = []
-            for c in range(left, -1, -1):
-                f = fact[c]
-                row += [f * p for p in tail[left - c]] if f > 1 else tail[left - c]
-            grown.append(row)
-        tail = grown
-    full = fact[length]
-    return [full // p for p in tail[length]]
-
-
 def _sorted_words(max_label, length):
     """The nondecreasing words of [max_label]^length, in lexicographic order."""
     return itertools.combinations_with_replacement(range(1, max_label + 1), length)
 
 
-def _tally(kernel, max_label, length):
-    """(words, matching words) of [max_label]^length, one kernel call per orbit.
+def _binomial_rows(size):
+    """rows[r][t] = C(r, t) for 0 <= t <= r <= size."""
+    return [[math.comb(r, t) for t in range(r + 1)] for r in range(size + 1)]
 
-    Both sums run in C over the weight table: ``compress`` keeps the weights
-    of the sorted words the kernel accepts.  It stops at the shorter input,
-    so the table's length is checked against C(max_label + length - 1,
-    length), the number of sorted words, as well as its sum.
+
+def _words_under(max_label, bounds):
+    """How many words of [max_label]^L (L = len(bounds)) sort to a q with q_i <= bounds[i-1].
+
+    For nondecreasing bounds that holds iff, for every label j, at least
+    #{i : bounds_i <= j} entries are <= j.  ways[c] counts the placements of
+    the labels so far that fill c of the L positions: placing label j on t
+    of the L - c free positions is C(L - c, t) ways, and the states below
+    the label's floor are dropped.
     """
-    weights = _weights(max_label, length)
-    orbits = math.comb(max_label + length - 1, length)
-    if len(weights) != orbits:
-        raise InvariantError(
-            f"{len(weights)} orbit sizes for the {orbits} sorted words "
-            f"of [{max_label}]^{length}"
-        )
-    total = sum(weights)
+    length = len(bounds)
+    rows = _binomial_rows(length)
+    ways = [1] + [0] * length
+    for j in range(1, max_label + 1):
+        floor = sum(map(j.__ge__, bounds))
+        ways = [0] * floor + [
+            sum(ways[c] * rows[length - c][f - c] for c in range(f + 1))
+            for f in range(floor, length + 1)
+        ]
+    return ways[length]
+
+
+def _count_under(max_label, bounds):
+    """(words, matching words) of [max_label]^len(bounds), by ``_words_under``.
+
+    The unbounded recount must give max_label^L: every placement the bounded
+    count adds up is also one of its, so one wrong binomial moves it too.
+    """
+    length = len(bounds)
+    total = _words_under(max_label, (max_label,) * length)
     if total != max_label**length:
-        raise InvariantError(
-            f"orbit sizes add up to {total}, not {max_label}^{length}"
-        )
-    words = _sorted_words(max_label, length)
-    matching = sum(itertools.compress(weights, map(kernel, words)))
-    return total, matching
+        raise InvariantError(f"the label recurrence counts {total} words, "
+                             f"not {max_label}^{length}")
+    return total, _words_under(max_label, bounds)
 
 
 @dataclass(frozen=True)
@@ -139,26 +126,26 @@ def _report(n, formula, tally):
 def count_parking_functions(n, force=False):
     """Count the parking functions among the n^n words of [n]^n.
 
-    The closed form is (n+1)^(n-1).  The Konheim-Weiss kernel runs once per
-    sorted word, C(2n-1, n) calls, and each answer counts for its whole orbit.
+    The closed form is (n+1)^(n-1).  A word parks iff its sorted q has
+    q_i <= i, so ``_count_under`` counts under the bounds 1, 2, ..., n.
     Guarded to n <= 10.
     """
     check_guard("count_parking_functions", n, 1, 10, force)
-    return _report(n, (n + 1) ** (n - 1), lambda: _tally(_parks_sorted, n, n))
+    return _report(n, (n + 1) ** (n - 1), lambda: _count_under(n, tuple(range(1, n + 1))))
 
 
 def count_prime_parking_functions(n, force=False):
     """Count the prime parking functions among the (n-1)^n words of [n-1]^n.
 
-    The closed form is (n-1)^(n-1).  The prime kernel runs once per sorted
-    word, C(2n-2, n) calls.  For n = 1 the space [0]^1 is empty but (1,) is
-    prime by convention, so the word (1,) is checked instead and the count
-    is 1 = 0^0.  Guarded to n <= 10.
+    The closed form is (n-1)^(n-1).  A word is prime iff its sorted q lies
+    under the bounds 1, 1, 2, ..., n-1.  For n = 1 the space [0]^1 is empty
+    but (1,) is prime by convention, so the word (1,) is checked instead and
+    the count is 1 = 0^0.  Guarded to n <= 10.
     """
     check_guard("count_prime_parking_functions", n, 1, 10, force)
     if n == 1:
         return _report(n, 1, lambda: (1, int(_prime_sorted((1,)))))
-    return _report(n, (n - 1) ** (n - 1), lambda: _tally(_prime_sorted, n - 1, n))
+    return _report(n, (n - 1) ** (n - 1), lambda: _count_under(n - 1, (1, *range(1, n))))
 
 
 def verify_bijection(n, force=False):
@@ -191,13 +178,10 @@ def verify_bijection(n, force=False):
     for a in _sorted_words(m, n):
         k, b = decompose(a)
         q = tuple(sorted(b))
-        if q not in primes:
-            return False
-        if any((a[i] - b[i] - k + 1) % m != 0 for i in range(n)):
-            return False
-        if not 1 <= k <= m or recompose(b, k) != a:
-            return False
-        if (k, q) in seen:
+        # a_i - b_i = k - 1 (mod m) for every i, in C.
+        residues = set(map(operator.mod, map(operator.sub, a, b), itertools.repeat(m)))
+        if (q not in primes or residues != {(k - 1) % m} or not 1 <= k <= m
+                or recompose(b, k) != a or (k, q) in seen):
             return False
         seen.add((k, q))
     return seen == {(kk, q) for kk in range(1, m + 1) for q in primes}
@@ -210,9 +194,9 @@ def verify_proposition(n, force=False):
     k, k, k+1, ..., n-1, 1, ..., k-1 lets every car park, and that rotation
     is the decomposition's shift.  Every word is parked on every street, so
     nothing is assumed about the order of the cars.  The expected shift is
-    looked up by the word's multiset code sum((n+1)^(x-1)), from public
-    decompose on each sorted word, since decompose reads k from the sorted
-    word.
+    looked up by the word's multiset code sum((n+1)^(x-1)), from the
+    unchecked decompose kernel on each sorted word (generated in range),
+    since decompose reads k from the sorted word.
 
     The check runs over one set of pairs (masks, code): masks holds each
     street's occupied-spot bitmask, or None once a car has left that
@@ -230,8 +214,9 @@ def verify_proposition(n, force=False):
     check_guard("verify_proposition", n, 2, 9, force)
     m = n - 1
     steps = [(n + 1) ** (p - 1) for p in range(1, n)]
+    step_of = [None, *steps]
     shift_of = {
-        sum(steps[x - 1] for x in q): decompose(q).k for q in _sorted_words(m, n)
+        sum(map(step_of.__getitem__, q)): decompose(q).k for q in _sorted_words(m, n)
     }
     full = (1 << n) - 1
     first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .core import _parks_sorted, _prime_sorted
 from .enumeration import count_parking_functions, count_prime_parking_functions
-from .errors import InvariantError, check_guard, check_int, is_int
+from .errors import InvariantError, check_guard, check_int
 
 
 class Hyperplane(NamedTuple):
@@ -86,8 +86,7 @@ class SignVector:
     signs: tuple
 
     def __post_init__(self):
-        if not is_int(self.n):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        check_int(self.n, 2, "n", "the arrangement needs n >= 2")
         # A list would pass every other check and then fail to hash.
         if not isinstance(self.signs, tuple):
             raise ValueError(f"signs must be a tuple, got {type(self.signs).__name__}")
@@ -431,7 +430,7 @@ def verify_pak_stanley(n, force=False):
     kernels.  The labels then form a subset of the parking functions, and
     the bounded ones a subset of the prime parking functions; a subset of a
     finite set with the same size is the whole set, so comparing the two
-    sizes with the orbit counts of ``count_parking_functions`` and
+    sizes with the counts of ``count_parking_functions`` and
     ``count_prime_parking_functions`` settles both equalities.
     """
     check_guard("verify_pak_stanley", n, 2, 6, force)

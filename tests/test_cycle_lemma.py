@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,6 +62,14 @@ class TestScores:
                 assert gap == sv.values[i - 1] - sv.values[d - 1]
                 assert gap >= 0
                 assert gap != 0 or i == d
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_argmin_is_the_first_position_of_its_entry(self, n):
+        # Equal entries score higher the later they sit, which decompose
+        # relies on to read q's first k straight from the argmin.
+        for q in itertools.combinations_with_replacement(range(1, n), n):
+            d = scores(q).argmin
+            assert q.index(q[d - 1]) == d - 1, q
 
 
 class TestDecompose:
@@ -202,6 +212,21 @@ class TestSampler:
         with pytest.raises(ValueError) as exc:
             sample_primes(3, 1, count)
         assert str(exc.value) == f"count must be an integer, got {count!r}"
+
+    @pytest.mark.parametrize("seed", [(1, 2), [3], {4: 5}, frozenset()])
+    def test_seed_that_random_refuses_is_bad_input_at_the_call(self, seed):
+        # random.Random raises TypeError for these; the sampler names the seed.
+        for call in (lambda: iter_primes(3, seed), lambda: sample_primes(3, seed, 1)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == (
+                "seed must be None, an int, a float, a str, bytes or a bytearray, "
+                f"got {seed!r}"
+            )
+
+    @pytest.mark.parametrize("seed", [None, 7, True, 2.5, "seven", b"7", bytearray(b"7")])
+    def test_every_seed_type_random_takes_still_samples(self, seed):
+        assert is_prime_parking_function(sample_prime(4, seed))
 
     def test_length_two_is_constant(self):
         for seed in range(5):

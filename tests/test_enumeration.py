@@ -4,9 +4,12 @@ import gc
 import itertools
 import json
 import math
+import operator
 
 import pytest
 
+import parkfunc.core
+import parkfunc.cycle_lemma
 import parkfunc.enumeration
 import word_oracle
 from parkfunc import (
@@ -21,7 +24,9 @@ from parkfunc import (
     verify_bijection,
     verify_proposition,
 )
-from parkfunc.enumeration import _sorted_words, _weights
+from parkfunc.core import _parks_sorted, _prime_sorted
+from parkfunc.enumeration import _sorted_words
+from word_oracle import orbit_tally, orbit_weights
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
 PPF_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27, 5: 256}
@@ -182,6 +187,21 @@ def test_wrong_shift_fails_both_verifiers(monkeypatch, oracle):
         assert getattr(word_oracle, oracle)(n, force=True) is False, n
 
 
+def test_shifts_moved_in_step_fail_the_congruence(monkeypatch):
+    # decompose and recompose off by the same shift still invert each other,
+    # and the moved pairs still cover [n-1] x primes: only the congruence
+    # sees them.
+    def recompose(b, k):
+        return parkfunc.recompose(b, (k - 2) % (len(b) - 1) + 1)
+
+    for module in (parkfunc.enumeration, word_oracle):
+        monkeypatch.setattr(module, "decompose", _shift_moved(decompose))
+        monkeypatch.setattr(module, "recompose", recompose)
+    for n in range(3, 7):
+        assert verify_bijection(n) is False, n
+        assert word_oracle.verify_bijection(n, force=True) is False, n
+
+
 def _wrong_on_orbit(decompose, q):
     """decompose with k moved on the words that sort to q, and right elsewhere."""
     moved = _shift_moved(decompose)
@@ -219,17 +239,22 @@ def _pick(reps, place):
     return {"first": reps[0], "middle": reps[len(reps) // 2], "last": reps[-1]}[place]
 
 
+# The family of each count: its kernel on sorted words, the labels it runs
+# over, and its closed form.
+FAMILIES = {
+    "parking": (_parks_sorted, lambda n: n, lambda n: (n + 1) ** (n - 1)),
+    "prime": (_prime_sorted, lambda n: n - 1, lambda n: (n - 1) ** (n - 1)),
+}
+
+
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
 @pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("kernel,count,drop", [
-    ("_parks_sorted", count_parking_functions, 0),  # words over [n]
-    ("_prime_sorted", count_prime_parking_functions, 1),  # words over [n-1]
-])
-def test_one_flipped_orbit_fails_the_count(monkeypatch, kernel, count, drop, n, place):
-    q = _pick(list(_sorted_words(n - drop, n)), place)
-    real = getattr(parkfunc.enumeration, kernel)
-    monkeypatch.setattr(parkfunc.enumeration, kernel, _flipped_on(real, q))
-    assert count(n).agrees is False, q
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_one_flipped_orbit_fails_the_count(family, n, place):
+    # The reference tally must see a kernel wrong on a single orbit.
+    kernel, labels, formula = FAMILIES[family]
+    q = _pick(list(_sorted_words(labels(n), n)), place)
+    assert orbit_tally(_flipped_on(kernel, q), labels(n), n)[1] != formula(n), q
 
 
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
@@ -280,7 +305,7 @@ def test_street_swaps_give_the_word_scan_verdict(monkeypatch, n):
 @pytest.mark.parametrize("max_label", range(1, 6))
 def test_orbits_count_the_sorted_words(max_label, length):
     sizes = collections.Counter(tuple(sorted(w)) for w in all_words(max_label, length))
-    orbits = zip(_sorted_words(max_label, length), _weights(max_label, length))
+    orbits = zip(_sorted_words(max_label, length), orbit_weights(max_label, length))
     assert list(orbits) == sorted(sizes.items())
 
 
@@ -321,7 +346,7 @@ def test_equivariance_check_catches_a_decompose_wrong_off_sorted_words():
     assert _not_equivariant(wrong, 3) == (1, 2, 1)
 
 
-# The orbit weight table against its definition.
+# The reference orbit weight table against its definition.
 
 
 @pytest.mark.parametrize("length", range(1, 9))
@@ -334,37 +359,151 @@ def test_weights_match_the_multinomial(max_label, length):
         for x in set(q):
             runs *= fact[q.count(x)]
         expected.append(fact[length] // runs)
-    assert _weights(max_label, length) == expected
+    assert orbit_weights(max_label, length) == expected
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
-@pytest.mark.parametrize("count", [count_parking_functions, count_prime_parking_functions])
-def test_a_short_weight_table_fails_the_count(monkeypatch, count, n):
-    real = parkfunc.enumeration._weights
-    monkeypatch.setattr(parkfunc.enumeration, "_weights", lambda m, l: real(m, l)[:-1])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_short_weight_table_fails_the_count(monkeypatch, family, n):
+    kernel, labels, _ = FAMILIES[family]
+    monkeypatch.setattr(word_oracle, "orbit_weights", lambda m, l: orbit_weights(m, l)[:-1])
     with pytest.raises(InvariantError):
-        count(n)
+        orbit_tally(kernel, labels(n), n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
-@pytest.mark.parametrize("kernel,count,drop", [
-    ("_parks_sorted", count_parking_functions, 0),  # words over [n]
-    ("_prime_sorted", count_prime_parking_functions, 1),  # words over [n-1]
-])
-def test_swapped_adjacent_weights_fail_the_count(monkeypatch, kernel, count, drop, n):
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_swapped_adjacent_weights_fail_the_count(monkeypatch, family, n):
     # Swapping keeps the table's length and sum; it must still move the count
     # wherever the two sorted words get different verdicts.
-    real = parkfunc.enumeration._weights
-    verdicts = list(map(getattr(parkfunc.enumeration, kernel), _sorted_words(n - drop, n)))
-    weights = real(n - drop, n)
+    kernel, labels, formula = FAMILIES[family]
+    verdicts = list(map(kernel, _sorted_words(labels(n), n)))
+    weights = orbit_weights(labels(n), n)
     swaps = [i for i in range(len(weights) - 1)
              if weights[i] != weights[i + 1] and verdicts[i] != verdicts[i + 1]]
     assert swaps
     for i in swaps:
         swapped = list(weights)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        monkeypatch.setattr(parkfunc.enumeration, "_weights", lambda m, l: list(swapped))
-        assert count(n).agrees is False, i
+        monkeypatch.setattr(word_oracle, "orbit_weights", lambda m, l: list(swapped))
+        assert orbit_tally(kernel, labels(n), n)[1] != formula(n), i
+
+
+# The label recurrence against the reference tally, and its mutants.
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("count,family", [
+    (count_parking_functions, "parking"),
+    (count_prime_parking_functions, "prime"),
+])
+def test_recurrence_matches_the_reference_tally(count, family, n):
+    kernel, labels, _ = FAMILIES[family]
+    report = count(n)
+    if labels(n) == 0:  # the prime count's n = 1 convention: the word (1,)
+        assert (report.total_words, report.matching) == (1, 1)
+    else:
+        assert (report.total_words, report.matching) == orbit_tally(kernel, labels(n), n)
+    assert report.agrees
+
+
+@pytest.mark.parametrize("length", range(1, 6))
+@pytest.mark.parametrize("max_label", range(1, 5))
+def test_recurrence_counts_the_words_under_any_bound(max_label, length):
+    # Every nondecreasing bound vector, not only the two streets the
+    # library passes: the words whose sorted q lies under it, by orbit.
+    weights = orbit_weights(max_label, length)
+    for bounds in _sorted_words(max_label, length):
+        expected = sum(w for q, w in zip(_sorted_words(max_label, length), weights)
+                       if all(map(operator.le, q, bounds)))
+        got = parkfunc.enumeration._count_under(max_label, bounds)
+        assert got == (max_label**length, expected), bounds
+
+
+def _off_by_one(bounds, max_label):
+    """Each bound vector with one entry moved by one, kept nondecreasing in [1, max_label]."""
+    for i, step in itertools.product(range(len(bounds)), (-1, 1)):
+        moved = list(bounds)
+        moved[i] += step
+        if moved != sorted(moved) or not 1 <= moved[i] <= max_label:
+            continue
+        yield tuple(moved)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("count", [count_parking_functions, count_prime_parking_functions])
+def test_a_bound_off_by_one_fails_the_count(monkeypatch, count, n):
+    real = parkfunc.enumeration._count_under
+    seen = []
+    monkeypatch.setattr(parkfunc.enumeration, "_count_under",
+                        lambda m, bounds: seen.append((m, bounds)) or real(m, bounds))
+    assert count(n).agrees
+    [(max_label, bounds)] = seen
+    moved = list(_off_by_one(bounds, max_label))
+    assert len(moved) >= n - 1
+    for wrong in moved:
+        monkeypatch.setattr(parkfunc.enumeration, "_count_under",
+                            lambda m, bounds: real(m, wrong))
+        assert count(n).agrees is False, wrong
+
+
+def _rows_with(change):
+    """_binomial_rows with change(rows) applied to its result."""
+    real = parkfunc.enumeration._binomial_rows
+
+    def rows(size):
+        table = real(size)
+        change(table)
+        return table
+
+    return rows
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("count", [count_parking_functions, count_prime_parking_functions])
+def test_a_wrong_binomial_row_fails_the_count(monkeypatch, count, n):
+    for r in range(n + 1):
+        def bump(table):
+            table[r] = [x + 1 for x in table[r]]
+
+        monkeypatch.setattr(parkfunc.enumeration, "_binomial_rows", _rows_with(bump))
+        with pytest.raises(InvariantError):
+            count(n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("count", [count_parking_functions, count_prime_parking_functions])
+def test_no_single_wrong_binomial_moves_the_count_unseen(monkeypatch, count, n):
+    # A wrong entry the count reads must fail the whole-space recount.
+    right = count(n)
+    for r in range(n + 1):
+        for t in range(r + 1):
+            def bump(table):
+                table[r][t] += 1
+
+            monkeypatch.setattr(parkfunc.enumeration, "_binomial_rows", _rows_with(bump))
+            try:
+                report = count(n)
+            except InvariantError:
+                continue
+            assert report.matching == right.matching, (r, t)
+
+
+def test_the_oracles_validate_no_word(monkeypatch):
+    # The oracles build their words sorted and in range and call the
+    # unchecked kernels: at the benchmark sizes no word check may run.
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a word check ran inside an oracle on {args}")
+
+    for module in (parkfunc.core, parkfunc.cycle_lemma):
+        monkeypatch.setattr(module, "_as_word", refuse)
+        monkeypatch.setattr(module, "_check_range", refuse)
+    for count, formula in [(count_parking_functions, 8**6),
+                           (count_prime_parking_functions, 6**6)]:
+        report = count(7)
+        assert (report.matching, report.formula_value, report.agrees) == (formula, formula, True)
+    assert verify_bijection(6) is True
+    assert verify_proposition(6) is True
 
 
 @pytest.mark.parametrize("oracle,n", [(count_parking_functions, 7), (verify_bijection, 6)])

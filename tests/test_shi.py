@@ -149,6 +149,13 @@ class TestFeasibility:
             SignVector(n, () if n is True else (1, -1))
         assert str(exc.value) == f"n must be an integer, got {n!r}"
 
+    @pytest.mark.parametrize("n,signs", [(-1, (1, 1)), (0, ()), (1, ())])
+    def test_sign_vector_needs_two_cars(self, n, signs):
+        # Each has the n*(n-1) signs its n asks for, so only n can refuse it.
+        with pytest.raises(ValueError) as exc:
+            SignVector(n, signs)
+        assert str(exc.value) == "the arrangement needs n >= 2"
+
     def test_sign_vector_signs_must_be_a_tuple(self):
         # A list would pass the other checks, and the record could not be hashed.
         with pytest.raises(ValueError) as exc:

@@ -4,8 +4,13 @@ Each scan applies the public predicates, ``simulate`` and ``decompose`` to
 every word of its space, with no use of the orbit reduction that the library
 oracles rest on.  ``tests/test_enumeration.py`` checks that the library
 returns the same answers for every n these scans reach at desk speed.
+
+Above that, the library counts are held to ``orbit_tally``: one kernel call
+per sorted word, weighted by its orbit size from ``orbit_weights``.
 """
 
+import itertools
+import math
 import time
 
 from parkfunc import (
@@ -18,7 +23,58 @@ from parkfunc import (
     rotated_street,
     simulate,
 )
-from parkfunc.errors import check_guard
+from parkfunc.errors import InvariantError, check_guard
+
+
+def orbit_weights(max_label, length):
+    """The orbit sizes of [max_label]^length, one per nondecreasing word.
+
+    A sorted word's orbit has length! / prod(mult!) words, over the
+    multiplicities of its entries.  The sizes come in the order
+    ``itertools.combinations_with_replacement`` yields the sorted words.
+    The table is built over the labels from the largest down: ``tail[left]``
+    holds prod(mult!) for every sorted word of ``left`` entries over the
+    labels taken so far, in that order, and each new (smaller) label is
+    prepended c = left, ..., 0 times, which keeps the order.
+    """
+    fact = [math.factorial(c) for c in range(length + 1)]
+    tail = [[1]] + [[] for _ in range(length)]  # no labels yet: only the empty word
+    for _ in range(max_label):
+        grown = []
+        for left in range(length + 1):
+            row = []
+            for c in range(left, -1, -1):
+                f = fact[c]
+                row += [f * p for p in tail[left - c]] if f > 1 else tail[left - c]
+            grown.append(row)
+        tail = grown
+    full = fact[length]
+    return [full // p for p in tail[length]]
+
+
+def orbit_tally(kernel, max_label, length):
+    """(words, matching words) of [max_label]^length, one kernel call per orbit.
+
+    Both sums run in C over the weight table: ``compress`` keeps the weights
+    of the sorted words the kernel accepts.  It stops at the shorter input,
+    so the table's length is checked against C(max_label + length - 1,
+    length), the number of sorted words, as well as its sum.
+    """
+    weights = orbit_weights(max_label, length)
+    orbits = math.comb(max_label + length - 1, length)
+    if len(weights) != orbits:
+        raise InvariantError(
+            f"{len(weights)} orbit sizes for the {orbits} sorted words "
+            f"of [{max_label}]^{length}"
+        )
+    total = sum(weights)
+    if total != max_label**length:
+        raise InvariantError(
+            f"orbit sizes add up to {total}, not {max_label}^{length}"
+        )
+    words = itertools.combinations_with_replacement(range(1, max_label + 1), length)
+    matching = sum(itertools.compress(weights, map(kernel, words)))
+    return total, matching
 
 
 def count_parking_functions(n, force=False):
