@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Walk the regions of the Shi arrangement.
+"""List the regions of the Shi arrangement.
 
 For n coordinates the arrangement x_i - x_j = 0, 1 (i < j) cuts space into
-(n+1)^(n-1) chambers.  A breadth-first walk from the base chamber
-x_1 > ... > x_n (all gaps below 1) labels each chamber with an integer
-vector; the labels are exactly the parking functions, and the labels of the
-chambers that are bounded modulo the line x_1 = ... = x_n are exactly the
-prime parking functions.
+(n+1)^(n-1) chambers.  Each chamber comes from a pair (w, U): a permutation
+w ordering the coordinates and an up-set U of the position pairs that are
+more than 1 apart.  Its label counts, per coordinate, the hyperplanes that
+separate it from the base chamber x_1 > ... > x_n (all gaps below 1); the
+labels are exactly the parking functions, and the labels of the chambers
+that are bounded modulo the line x_1 = ... = x_n are exactly the prime
+parking functions.  Each interior point is built from the chamber's (w, U).
 """
 
 from parkfunc import enumerate_regions, feasible_point, hyperplanes

@@ -2,18 +2,16 @@
 
 The arrangement consists of the hyperplanes x_i - x_j = k for
 1 <= i < j <= n and k in {0, 1}.  A region (open chamber) is encoded by its
-sign vector: one + or - per hyperplane, + meaning x_i - x_j > k.  Starting
-from the base chamber x_1 > x_2 > ... > x_n with all pairwise differences
-below 1, labeled (1, ..., 1), a breadth-first walk across walls assigns each
-region its Pak-Stanley label: crossing x_i = x_j away from the base chamber
-adds 1 to coordinate i, crossing x_i = x_j + 1 adds 1 to coordinate j.  The
-labels enumerate the parking functions, with prime parking functions on the
+sign vector: one + or - per hyperplane, + meaning x_i - x_j > k.  The base
+chamber x_1 > x_2 > ... > x_n, with all pairwise differences below 1, is
+labeled (1, ..., 1), and each hyperplane that separates a region from it
+adds 1 to one coordinate of the region's Pak-Stanley label: x_i = x_j adds
+1 to coordinate i, x_i = x_j + 1 adds 1 to coordinate j.  The labels
+enumerate the parking functions, with prime parking functions on the
 regions that are bounded modulo the all-equal line x_1 = ... = x_n
 (Stanley, PNAS 93, 1996).
 
-Two paths build the regions.
-
-The combinatorial path, ``_regions``, needs no distance matrix
+One combinatorial engine answers every question, with no distance matrix
 (Athanasiadis-Linusson, Discrete Math. 204, 1999; Shi, LNM 1179, 1986).  A
 region orders its coordinates, y_1 > ... > y_n with y_p = x_{w(p)} for a
 permutation w, and only a non-inversion pair of positions p < q, one with
@@ -22,21 +20,17 @@ y_p - y_q > 1 form an up-set U of the staircase of pairs p < q, and any
 up-set occurs for every w; the region is w with U ∩ noninv(w), and it has
 exactly one U whose minimal elements are all non-inversions.  Each
 separating hyperplane counts once, so the label is read off directly, and
-so is boundedness.  ``enumerate_regions``, ``verify_pak_stanley`` and
-``parkfunc shi``, in text and in JSON, take this path.
+so is boundedness.
 
-The walk, ``_walk``, follows the definition and is kept as the reference
-that the tests hold ``_regions`` to, region for region.  Every side of
-every hyperplane is an integer difference constraint x_v - x_u < c, so the
-geometry is shortest paths on a weighted digraph with one edge u -> v per
-hyperplane (CLRS 24.4, "Difference constraints and shortest paths").  The
-strict constraint gets the integer weight c*(n+1) - 1: a simple cycle has
-at most n edges, so the scaled cycle weight is negative exactly when the
-cycle's constants sum to at most 0, which is exactly when the strict system
-is empty.  One distance matrix per region gives its walls and its
-boundedness; ``is_feasible`` and ``is_bounded`` read the same matrix for
-any sign vector.  All distances are plain ints; ``fractions.Fraction``
-appears only in the witness points.  No floats.
+``_regions`` builds every region from its (w, U) pair; ``enumerate_regions``,
+``verify_pak_stanley`` and ``parkfunc shi``, in text and in JSON, take it.
+``_decode`` goes the other way: it reads the pair off any sign vector, or
+finds that there is none, so ``is_feasible``, ``is_bounded`` and
+``feasible_point`` answer for one sign vector in O(n^2) without listing the
+arrangement.  The tests hold both directions to a breadth-first
+wall-crossing walk on integer difference constraints, in
+``tests/shi_walk.py``.  Everything is exact: ``fractions.Fraction`` appears
+only in the witness points.  No floats.
 """
 
 import itertools
@@ -46,7 +40,7 @@ from typing import NamedTuple
 
 from .core import _parks_sorted, _prime_sorted
 from .enumeration import count_parking_functions, count_prime_parking_functions
-from .errors import InvariantError, check_guard, check_int
+from .errors import check_guard, check_int
 
 
 class Hyperplane(NamedTuple):
@@ -110,24 +104,11 @@ class SignVector:
 
     @classmethod
     def from_string(cls, n, text):
+        if not isinstance(text, str):
+            raise ValueError(f"sign string must be a str, got {type(text).__name__}")
         if set(text) - {"+", "-"}:
             raise ValueError("sign string may contain only + and -")
         return cls(n, tuple(1 if c == "+" else -1 for c in text))
-
-
-def _edges(n, signs):
-    """The region's difference constraints, one edge (u, v, w) per hyperplane.
-
-    Vertices are 0-based coordinates.  The + side x_i - x_j > k is
-    x_j - x_i < -k, the edge i -> j; the - side x_i - x_j < k is the edge
-    j -> i.  Either way the weight is the scaled constant c*(n+1) - 1.
-    """
-    scale = n + 1
-    return [
-        (hp.i - 1, hp.j - 1, -hp.k * scale - 1) if s > 0
-        else (hp.j - 1, hp.i - 1, hp.k * scale - 1)
-        for hp, s in zip(hyperplanes(n), signs)
-    ]
 
 
 def _distances(n, edges):
@@ -158,78 +139,103 @@ def _distances(n, edges):
 
 
 def satisfiable(edges, n):
-    """Whether the strict difference constraints admit a point (no negative cycle)."""
+    """Whether the strict difference constraints admit a point (no negative cycle).
+
+    No library code calls it; ``bench/tracer.py`` patches it by name.
+    """
     return _distances(n, edges) is not None
+
+
+def _decode(n, signs):
+    """The region's (w, m), as ``_regions`` builds them, or None if it is empty.
+
+    Coordinates and positions are 0-based; ``w[p]`` is the coordinate at
+    position p, and ``m[p]`` the smallest q with (p, q) in the canonical
+    up-set U, or n.  Three rules decide whether the signs give a region:
+
+    - the k=0 signs order the coordinates, which they do iff the counts
+      above[a] = #{b : x_b > x_a} are a permutation of 0..n-1; a is then
+      at position above[a];
+    - an inversion's k=1 sign is -, since x_i < x_j < x_j + 1 there;
+    - the non-inversions with a + k=1 sign form a set S, which must hold
+      every non-inversion of its up-closure U: y_p - y_q > 1 on S forces
+      it on every (p', q') with p' <= p < q <= q'.
+
+    U's row p starts at the smallest q with (p', q) in S for some p' >= p.
+    O(n^2); n is not checked.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    order, apart = signs[::2], signs[1::2]  # the k=0 and k=1 signs
+    above = [0] * n
+    for (i, j), s in zip(pairs, order):
+        above[j if s > 0 else i] += 1
+    if len(set(above)) < n:
+        return None
+    w = [0] * n
+    for a, p in enumerate(above):
+        w[p] = a
+    m = [n] * n
+    for (i, j), s, t in zip(pairs, order, apart):
+        if s > 0:
+            if t > 0 and above[j] < m[above[i]]:
+                m[above[i]] = above[j]
+        elif t > 0:
+            return None
+    for p in range(n - 2, -1, -1):
+        if m[p + 1] < m[p]:
+            m[p] = m[p + 1]
+    for (i, j), s, t in zip(pairs, order, apart):
+        if s > 0 and t < 0 and above[j] >= m[above[i]]:
+            return None
+    return w, m
 
 
 def is_feasible(sv):
     """Whether the sign vector's open polyhedron is nonempty (exact)."""
-    return satisfiable(_edges(sv.n, sv.signs), sv.n)
+    return _decode(sv.n, sv.signs) is not None
 
 
 def feasible_point(sv):
     """An exact rational point inside the region, or None if it is empty.
 
-    The shortest-path potentials x_v = min_a dist[a][v] obey
-    x_v - x_u <= w = c*(n+1) - 1 on every edge, so x / (n+1) has
-    x_v - x_u <= c - 1/(n+1) < c.
+    With (w, m) from ``_decode`` and y_p = x_{w[p]}, the region holds every
+    point with y_0 > ... > y_{n-1} and y_p - y_q > 1 exactly when
+    q >= m[p].  Given the y after position p, that asks
+    y_p > lo = max(y_{p+1}, y_{m[p]} + 1) and, when m[p] > p + 1, also
+    y_p < hi = y_{m[p]-1} + 1.  The interval is never empty: m is
+    non-decreasing, so (p+1, m[p]-1) is not in U and y_{p+1} < hi.  So
+    y_{n-1} = 0, and each y_p is the midpoint of (lo, hi), or lo + 1 when
+    there is no hi.
     """
     from fractions import Fraction  # imported here to keep it out of CLI start-up
 
-    dist = _distances(sv.n, _edges(sv.n, sv.signs))
-    if dist is None:
+    decoded = _decode(sv.n, sv.signs)
+    if decoded is None:
         return None
-    return tuple(
-        Fraction(min(row[v] for row in dist), sv.n + 1) for v in range(sv.n)
-    )
+    w, m = decoded
+    n = sv.n
+    y = [Fraction(0)] * n
+    for p in range(n - 2, -1, -1):
+        lo = y[p + 1] if m[p] == n else max(y[p + 1], y[m[p]] + 1)
+        hi = lo + 2 if m[p] == p + 1 else y[m[p] - 1] + 1
+        y[p] = (lo + hi) / 2
+    point = [None] * n
+    for p, a in enumerate(w):
+        point[a] = y[p]
+    return tuple(point)
 
 
 def satisfies(sv, point):
     """Directly check that a rational point lies inside the region."""
     from fractions import Fraction
 
+    if len(point) != sv.n:
+        raise ValueError(f"expected a point with {sv.n} coordinates, got {len(point)}")
     for hp, s in zip(hyperplanes(sv.n), sv.signs):
         value = Fraction(point[hp.i - 1]) - Fraction(point[hp.j - 1]) - hp.k
         if (value <= 0) if s > 0 else (value >= 0):
             return False
     return True
-
-
-def _walls(n, signs):
-    """The nonempty region's walls and whether it is bounded, from one matrix.
-
-    Returns ``(walls, bounded)``.  ``walls`` lists the indices of the
-    hyperplanes that bound the region on a facet.  Flipping edge (u, v, w)
-    leaves a nonempty region iff every other u -> v path has constants
-    summing to more than c, where w = c*(n+1) - 1.  A path of L edges and
-    constant sum C weighs C*(n+1) - L, and with 1 <= L <= n-1 that weight
-    exceeds w exactly when C > c; it never ties w, since the one parallel
-    edge u -> v has the other k and so a weight that differs by n+1.  So
-    the edge is a wall iff dist[u][v] == w.  ``bounded`` comes from
-    ``_strongly_connected`` on the same matrix.
-    """
-    edges = _edges(n, signs)
-    dist = _distances(n, edges)
-    if dist is None:
-        raise InvariantError(
-            f"the walk reached the empty region {_sign_string(signs)} (n={n})"
-        )
-    walls = [idx for idx, (u, v, w) in enumerate(edges) if dist[u][v] == w]
-    return walls, _strongly_connected(n, dist)
-
-
-def _strongly_connected(n, dist):
-    """Whether a nonempty region is bounded modulo the line x_1 = ... = x_n.
-
-    Every region recedes along (1, ..., 1); it is bounded in the quotient
-    exactly when its recession cone contains nothing else.  The cone relaxes
-    each edge u -> v to d_u >= d_v, so it is the line iff the constraint
-    graph is strongly connected; otherwise the vertices reachable from some
-    vertex can drop by 1 while the others stay put.  By the weight bounds in
-    ``_distances``, v is reachable from u iff dist[u][v] < n(n+2).
-    """
-    reach = n * (n + 2)
-    return all(d < reach for row in dist for d in row)
 
 
 def base_region(n):
@@ -259,63 +265,15 @@ class Region:
 def is_bounded(region):
     """Whether the region is bounded modulo the line x_1 = ... = x_n.
 
-    Accepts a ``SignVector`` or a ``Region``; the test is
-    ``_strongly_connected`` on the region's distance matrix.  An empty
-    region has no recession cone to ask about, so it raises ``ValueError``.
+    Accepts a ``SignVector`` or a ``Region``; the test is ``_spanned`` on
+    the region's (w, m) from ``_decode``.  An empty region has no recession
+    cone to ask about, so it raises ``ValueError``.
     """
     sv = region.sign_vector if isinstance(region, Region) else region
-    dist = _distances(sv.n, _edges(sv.n, sv.signs))
-    if dist is None:
+    decoded = _decode(sv.n, sv.signs)
+    if decoded is None:
         raise ValueError(f"region {sv.as_string()} (n={sv.n}) is empty")
-    return _strongly_connected(sv.n, dist)
-
-
-def _walk(n):
-    """All regions of the arrangement, labeled, by breadth-first wall crossing.
-
-    Neighbors of a region lie across its walls; a crossing flips exactly one
-    sign, and on first discovery the new region receives its parent's label
-    with one coordinate bumped (the rule in the module docstring).  Levels
-    are expanded in lexicographic order of the sign strings, so the output
-    order is reproducible.  Each region is yielded as soon as its distance
-    matrix is read, and the walk keeps only the previous, current and next
-    levels: a region's depth is the number of hyperplanes separating it
-    from the base chamber, so a crossing changes the depth by exactly 1.
-    n is not checked.  Each region costs one O(n^3) distance matrix, so
-    n=6 (16,807 regions) takes about a second.
-    """
-    hps = hyperplanes(n)
-    base = base_region(n).signs
-    previous = {}
-    labels = {base: (1,) * n}  # the current level: signs -> label
-    level = [base]
-    depth = 0
-    while level:
-        found = {}
-        for signs in level:
-            label = labels[signs]
-            walls, bounded = _walls(n, signs)
-            yield Region(SignVector(n, signs), label, bounded, depth)
-            for idx in walls:
-                key = signs[:idx] + (-signs[idx],) + signs[idx + 1:]
-                hp = hps[idx]
-                # A crossing toward the base chamber goes one level up, and
-                # one away from it one level down, where a first discovery
-                # sets the label.
-                if signs[idx] != base[idx]:
-                    if key not in previous:
-                        raise InvariantError(
-                            f"crossing {hp} from region {_sign_string(signs)} "
-                            f"(n={n}) toward the base chamber misses depth "
-                            f"{depth - 1}"
-                        )
-                    continue
-                if key not in found:
-                    coord = (hp.i if hp.k == 0 else hp.j) - 1
-                    found[key] = label[:coord] + (label[coord] + 1,) + label[coord + 1:]
-        previous, labels = labels, found
-        level = sorted(found, key=_sign_string)
-        depth += 1
+    return _spanned(*decoded)
 
 
 def _upsets(w, m, p):
@@ -402,11 +360,11 @@ def enumerate_regions(n, force=False):
     """Every region, labeled, as a list ordered by depth, then sign string.
 
     Built by ``_regions`` from the (w, U) pairs of the module docstring, with
-    no distance matrix, then sorted into the order of the walk ``_walk``:
-    level by level, each level by sign string.  On a shared 2-core machine
-    with Python 3.11 it takes 1.0 ms at n=4, 16 ms at n=5 and 0.27 s at n=6,
-    about a quarter of the walk's time.  Guarded to n <= 6; a forced n=7
-    takes about 5 s.
+    no distance matrix, then sorted into the order of the wall-crossing walk
+    in ``tests/shi_walk.py``: level by level, each level by sign string.  On
+    a shared 2-core machine with Python 3.11 it takes 1.0 ms at n=4, 16 ms
+    at n=5 and 0.27 s at n=6, about a quarter of the walk's time.  Guarded
+    to n <= 6; a forced n=7 takes about 5 s.
     """
     check_guard("enumerate_regions", n, 2, 6, force)
     # '+' sorts before '-', so ascending sign strings are descending sign

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+import shi_walk
 from parkfunc import (
     GuardRangeError,
     InvariantError,
@@ -22,7 +23,8 @@ from parkfunc import (
     verify_pak_stanley,
 )
 from parkfunc import shi
-from parkfunc.shi import Hyperplane, _walls, satisfies
+from parkfunc.shi import Hyperplane, satisfies
+from shi_walk import _walls
 
 # The sixteen labels of the three-car arrangement, and the four bounded ones.
 LABELS3 = {
@@ -180,6 +182,61 @@ class TestFeasibility:
             checked = SignVector(n, sv.signs)
             assert (sv, hash(sv), repr(sv)) == (checked, hash(checked), repr(checked))
 
+    @pytest.mark.parametrize("point", [(1,), (1, Fraction(1, 2), 99)])
+    def test_satisfies_needs_one_coordinate_per_variable(self, point):
+        with pytest.raises(ValueError) as exc:
+            satisfies(SignVector(2, (1, -1)), point)
+        assert str(exc.value) == f"expected a point with 2 coordinates, got {len(point)}"
+
+    @pytest.mark.parametrize("text", [None, 5, ["+", "-"], b"+-"])
+    def test_from_string_needs_a_str(self, text):
+        with pytest.raises(ValueError) as exc:
+            SignVector.from_string(2, text)
+        assert str(exc.value) == f"sign string must be a str, got {type(text).__name__}"
+
+
+class TestDecoder:
+    # Each n=3 vector breaks one of _decode's three rules and passes the
+    # other two.  The signs go by pair, (1,2), (1,3), (2,3), k=0 then k=1.
+    @pytest.mark.parametrize("text", [
+        "+---+-",  # x_1 > x_2 > x_3 > x_1: the k=0 signs order nothing
+        "-++-+-",  # x_2 > x_1, yet x_1 - x_2 > 1
+        "+-+-++",  # x_1 > x_2 > x_3 + 1, yet x_1 - x_3 < 1
+    ], ids=["cyclic order", "inversion above 1", "plus set not up-closed"])
+    def test_each_rule_rejects_its_own_vector(self, text):
+        sv = SignVector.from_string(3, text)
+        assert sv.signs not in lattice_regions(3)
+        assert shi._decode(3, sv.signs) is None
+        assert not is_feasible(sv)
+        assert feasible_point(sv) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_single_flips_agree_with_the_walk_engine(self, n):
+        # Every region and every sign vector one flip from a region, held to
+        # the distance matrix of the reference walk.
+        vectors = set()
+        for region in enumerate_regions(n):
+            signs = region.sign_vector.signs
+            vectors.add(signs)
+            vectors.update(
+                signs[:idx] + (-signs[idx],) + signs[idx + 1:]
+                for idx in range(len(signs))
+            )
+        for signs in vectors:
+            sv = SignVector(n, signs)
+            dist = shi_walk._distances(n, shi_walk._edges(n, signs))
+            assert is_feasible(sv) == (dist is not None), sv.as_string()
+            if dist is not None:
+                bounded = shi_walk._strongly_connected(n, dist)
+                assert is_bounded(sv) == bounded, sv.as_string()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_region_decodes_to_a_witness_and_its_flag(self, n):
+        for region in enumerate_regions(n):
+            sv = region.sign_vector
+            assert satisfies(sv, feasible_point(sv)), sv.as_string()
+            assert is_bounded(region) == region.bounded, sv.as_string()
+
 
 class TestRegions:
     def test_two_cars_hand_enumeration(self):
@@ -266,11 +323,11 @@ class TestRegions:
     def test_one_distance_matrix_per_region(self, monkeypatch):
         calls = {"_edges": 0, "_distances": 0}
         for name in calls:
-            def counted(*args, _name=name, _real=getattr(shi, name)):
+            def counted(*args, _name=name, _real=getattr(shi_walk, name)):
                 calls[_name] += 1
                 return _real(*args)
-            monkeypatch.setattr(shi, name, counted)
-        assert len(list(shi._walk(4))) == 125
+            monkeypatch.setattr(shi_walk, name, counted)
+        assert len(list(shi_walk._walk(4))) == 125
         assert calls == {"_edges": 125, "_distances": 125}
 
     def test_crossing_toward_the_base_must_reach_the_previous_level(
@@ -279,7 +336,7 @@ class TestRegions:
         # A mutant that also reports every non-wall flip toward the base
         # chamber: such a flip leads to an empty region, never one level up.
         base = base_region(3).signs
-        real = shi._walls
+        real = shi_walk._walls
 
         def mutant(n, signs):
             walls, bounded = real(n, signs)
@@ -289,7 +346,7 @@ class TestRegions:
             ]
             return walls + toward, bounded
 
-        monkeypatch.setattr(shi, "_walls", mutant)
+        monkeypatch.setattr(shi_walk, "_walls", mutant)
         # Level 1 has no such flip (its one toward flip is a wall); the first
         # comes in level 2, walked in sign-string order.
         message = (
@@ -297,12 +354,12 @@ class TestRegions:
             "toward the base chamber misses depth 1"
         )
         with pytest.raises(InvariantError, match=re.escape(message)):
-            list(shi._walk(3))
+            list(shi_walk._walk(3))
 
     def test_walk_into_an_empty_region_raises(self, monkeypatch):
-        monkeypatch.setattr(shi, "_distances", lambda n, edges: None)
+        monkeypatch.setattr(shi_walk, "_distances", lambda n, edges: None)
         with pytest.raises(InvariantError, match=r"empty region \+- \(n=2\)"):
-            list(shi._walk(2))
+            list(shi_walk._walk(2))
 
     def test_guard(self):
         with pytest.raises(GuardRangeError):
@@ -312,7 +369,7 @@ class TestRegions:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_combinatorial_path_equals_the_walk(self, n):
-        assert enumerate_regions(n) == list(shi._walk(n))
+        assert enumerate_regions(n) == list(shi_walk._walk(n))
 
     def test_combinatorial_path_builds_no_distance_matrix(self, monkeypatch):
         def refuse(n, edges):

@@ -45,9 +45,7 @@ def _referenced_names(tree, skip):
     return names
 
 
-# Kept with no caller in the library: the tests hold shi._regions to it, and
-# it is the engine for Shi arrangements that the (w, U) path does not cover.
-KEPT_UNREFERENCED = {"shi._walk"}
+KEPT_UNREFERENCED = set()
 
 
 def test_every_private_helper_has_a_caller_in_the_library():
