@@ -41,15 +41,17 @@ def render_street(cars, labels):
 
 
 def _emit(args, text, record):
-    """Print the JSON record, or else the text view; `text` builds it when called."""
-    print(json.dumps(record) if args.json else text())
+    """Print the JSON record, named by its subcommand, or else the text view.
+
+    `text` builds the view when called; a handler that prints its own passes None.
+    """
+    print(json.dumps({"command": args.command, **record}) if args.json else text())
 
 
 def _cmd_check(args):
     word = parse_word(args.word)
     result = is_prime_parking_function(word) if args.prime else is_parking_function(word)
     _emit(args, lambda: str(result).lower(), {
-        "command": "check",
         "word": word,
         "prime": args.prime,
         "result": result,
@@ -61,7 +63,6 @@ def _cmd_decompose(args):
     word = parse_word(args.word)
     k, b = decompose(word)
     _emit(args, lambda: f"k={k} b={format_word(b)}", {
-        "command": "decompose",
         "word": word,
         "k": k,
         "b": b,
@@ -73,7 +74,6 @@ def _cmd_recompose(args):
     b = parse_word(args.word)
     word = recompose(b, args.k)
     _emit(args, lambda: format_word(word), {
-        "command": "recompose",
         "b": b,
         "k": args.k,
         "word": word,
@@ -100,7 +100,6 @@ def _cmd_simulate(args):
         return f"car {outcome.failed_car} leaves the street"
 
     _emit(args, text, {
-        "command": "simulate",
         "word": word,
         "street": args.street,
         "k": args.k,
@@ -116,7 +115,6 @@ def _cmd_strip(args):
     word = parse_word(args.word)
     result = strip_first_one(word)
     _emit(args, lambda: format_word(result), {
-        "command": "strip",
         "word": word,
         "result": result,
     })
@@ -133,7 +131,7 @@ def _cmd_count(args):
             f"agrees={str(report.agrees).lower()}"
         )
 
-    _emit(args, text, {"command": "count", "prime": args.prime, **report.as_dict()})
+    _emit(args, text, {"prime": args.prime, **report.as_dict()})
     return 0 if report.agrees else 1
 
 
@@ -145,7 +143,6 @@ def _cmd_verify(args):
     }[args.what]
     result = checker(args.n)
     _emit(args, lambda: str(result).lower(), {
-        "command": "verify",
         "what": args.what,
         "n": args.n,
         "result": result,
@@ -171,13 +168,12 @@ def _cmd_sample(args):
             print(format_word(word))
         return 0
     words = sample_primes(args.n, seed, args.count)
-    print(json.dumps({
-        "command": "sample",
+    _emit(args, None, {
         "n": args.n,
         "seed": seed,
         "count": args.count,
         "words": words,
-    }))
+    })
     return 0
 
 
@@ -190,8 +186,7 @@ def _cmd_shi(args):
                 f"{str(r.bounded).lower()} {r.bfs_depth}"
             )
         return 0
-    print(json.dumps({
-        "command": "shi",
+    _emit(args, None, {
         "n": args.n,
         "regions": [
             {
@@ -202,7 +197,7 @@ def _cmd_shi(args):
             }
             for r in regions
         ],
-    }))
+    })
     return 0
 
 
@@ -311,12 +306,9 @@ def run(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except GuardRangeError as exc:
+    except ValueError as exc:  # bad input; a GuardRangeError is one too
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GuardRangeError) else 2
 
 
 def main():

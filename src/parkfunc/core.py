@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .errors import check_int, is_int
 
 
-PrefWord = tuple[int, ...]
-StreetLabels = tuple[int, ...]
-
-
 def _as_word(word, what="word"):
     """Coerce to a tuple of positive ints, rejecting anything else."""
     try:
@@ -30,11 +26,11 @@ def _as_word(word, what="word"):
     return entries
 
 
-def _check_range(word, max_label, what="word"):
+def _check_range(word, max_label):
     for x in word:
         if x > max_label:
             raise ValueError(
-                f"{what} entry {x} exceeds the allowed maximum label {max_label}"
+                f"word entry {x} exceeds the allowed maximum label {max_label}"
             )
 
 

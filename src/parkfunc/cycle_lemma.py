@@ -113,9 +113,10 @@ def recompose(b, k):
 
 def _recompose(b, k):
     """``recompose`` without input checks: b is a tuple over [n-1], k in [n-1], n >= 2."""
-    # table[x] = ((x + k - 2) mod (n-1)) + 1: 1..n-k go to k..n-1, the rest
-    # to 1..k-1.  itemgetter reads it in C, and returns a tuple since n >= 2.
-    return operator.itemgetter(*b)([None, *range(k, len(b)), *range(1, k)])
+    # The down-shift by 2-k (mod n-1) is the up-shift by k: x -> ((x + k - 2)
+    # mod (n-1)) + 1.  itemgetter reads it in C, and returns a tuple since n >= 2.
+    m = len(b) - 1
+    return operator.itemgetter(*b)(_shift_table((1 - k) % m + 1, m))
 
 
 def iter_primes(n, seed):

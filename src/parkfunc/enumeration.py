@@ -154,8 +154,9 @@ def verify_bijection(n, force=False):
     With m = n-1, each sorted word a must give decompose(a) = (k, b) with
     sorted(b) prime, a_i = b_i + k - 1 (mod m), k in [m] (a shift outside
     it is a wrong answer, not bad input), recompose(b, k) == a, and a pair
-    (k, sorted(b)) not seen before.  The pairs must then be exactly
-    [m] x (prime sorted words).  No orbit size or prime-shift table is read.
+    (k, sorted(b)) not seen before.  The pairs are then distinct and lie in
+    [m] x (prime sorted words), so they cover it exactly when there are
+    m * |primes| of them.  No orbit size or prime-shift table is read.
 
     Why this is exact.  Write down_kk(x) = (x - kk) mod m + 1, a bijection
     of [m].  sorted(b) is prime, so b's entries lie in [m] and the
@@ -184,7 +185,7 @@ def verify_bijection(n, force=False):
                 or recompose(b, k) != a or (k, q) in seen):
             return False
         seen.add((k, q))
-    return seen == {(kk, q) for kk in range(1, m + 1) for q in primes}
+    return len(seen) == m * len(primes)
 
 
 def verify_proposition(n, force=False):

@@ -389,7 +389,8 @@ def verify_pak_stanley(n, force=False):
     the bounded ones a subset of the prime parking functions; a subset of a
     finite set with the same size is the whole set, so comparing the two
     sizes with the counts of ``count_parking_functions`` and
-    ``count_prime_parking_functions`` settles both equalities.
+    ``count_prime_parking_functions`` settles both equalities.  Guarded to
+    n <= 6.
     """
     check_guard("verify_pak_stanley", n, 2, 6, force)
     labels = set()

@@ -59,8 +59,9 @@ class TestGoldenTranscripts:
 
 
 # Exact stdout, stderr and exit code of each word subcommand, in text and
-# --json, and of each bad-input error.  JSON records hold the words as tuples
-# and the text view is built only when printed; neither may change a byte.
+# --json, of the verify and shi records, and of each bad-input error and a
+# guard trip.  JSON records hold the words as tuples and the text view is
+# built only when printed; neither may change a byte.
 TRANSCRIPTS = [
     (('check', '--word', '1,4,2,1'), 0, 'true\n', ''),
     (('check', '--word', '1,4,2,1', '--json'), 0, '{"command": "check", "word": [1, 4, 2, 1], "prime": false, "result": true}\n', ''),
@@ -91,6 +92,8 @@ TRANSCRIPTS = [
     (('strip', '--word', '2,1,1'), 0, '2,1\n', ''),
     (('strip', '--word', '2,1,1', '--json'), 0, '{"command": "strip", "word": [2, 1, 1], "result": [2, 1]}\n', ''),
     (('sample', '--n', '5', '--seed', '7', '--count', '3', '--json'), 0, '{"command": "sample", "n": 5, "seed": 7, "count": 3, "words": [[3, 2, 4, 1, 1], [1, 3, 1, 2, 1], [2, 1, 1, 2, 3]]}\n', ''),
+    (('verify', '--what', 'bijection', '--n', '4', '--json'), 0, '{"command": "verify", "what": "bijection", "n": 4, "result": true}\n', ''),
+    (('shi', '--n', '2', '--json'), 0, '{"command": "shi", "n": 2, "regions": [{"signs": "+-", "label": [1, 1], "bounded": true, "depth": 0}, {"signs": "++", "label": [1, 2], "bounded": false, "depth": 1}, {"signs": "--", "label": [2, 1], "bounded": false, "depth": 1}]}\n', ''),
     (('check', '--word', ' , '), 2, '', 'error: empty word literal\n'),
     (('check', '--word', ' , ', '--json'), 2, '', 'error: empty word literal\n'),
     (('check', '--word', '1,0,1'), 2, '', "error: bad word entry '0': expected a positive integer\n"),
@@ -134,6 +137,7 @@ TRANSCRIPTS = [
     (('sample', '--n', '4', '--seed', '1', '--count', '0', '--json'), 2, '', 'error: --count must be at least 1\n'),
     (('sample', '--n', '4', '--json'), 2, '', 'error: --seed is required with --json for reproducibility\n'),
     (('sample', '--n', '1', '--seed', '1', '--json'), 2, '', 'error: sampling needs n >= 2\n'),
+    (('verify', '--what', 'bijection', '--n', '9', '--json'), 3, '', 'error: verify_bijection is guarded to n <= 8 (got n=9)\n'),
 ]
 
 
@@ -304,6 +308,7 @@ class TestCount:
     def test_json_schema(self, capsys):
         _, out, _ = invoke(capsys, "count", "--n", "4", "--json")
         record = json.loads(out)
+        assert next(iter(record)) == "command" and record["command"] == "count"
         assert record["matching"] == record["formula_value"] == 125
         assert record["agrees"] is True
         assert record["total_words"] == 256

@@ -15,7 +15,7 @@ from parkfunc import (
     scores,
     sorted_rearrangement,
 )
-from parkfunc.cycle_lemma import _shift_table
+from parkfunc.cycle_lemma import _recompose, _shift_table
 from conftest import PRIME15, SHIFT15, WORD15, run_python
 
 
@@ -165,6 +165,7 @@ class TestShiftArithmetic:
             assert len(table) == m + 1
             assert [table[a] for a in labels] == [(a - k) % m + 1 for a in labels]
             assert recompose(b, k) == tuple((x + k - 2) % m + 1 for x in b)
+            assert _recompose(b, k) == tuple((x + k - 2) % m + 1 for x in b)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_decompose_shifts_by_its_k(self, m):

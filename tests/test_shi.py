@@ -124,8 +124,9 @@ class TestFeasibility:
             else:
                 assert feasible_point(sv) is None, sv.as_string()
                 message = f"region {sv.as_string()} (n={n}) is empty"
-                with pytest.raises(ValueError, match=re.escape(message)):
+                with pytest.raises(ValueError) as exc:
                     is_bounded(sv)
+                assert str(exc.value) == message
 
     def test_base_region_witness(self):
         for n in (2, 3, 4, 5):

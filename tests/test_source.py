@@ -1,7 +1,15 @@
 """Source-level rules for the library modules."""
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
+
+from parkfunc import (
+    GuardRangeError, count_parking_functions, count_prime_parking_functions,
+    enumerate_regions, verify_bijection, verify_pak_stanley, verify_proposition,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parkfunc"
 
@@ -18,6 +26,12 @@ def test_no_bare_assert_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _library_trees():
+    """Module name -> parsed source, for each library module."""
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def _private_defs(tree):
@@ -37,9 +51,9 @@ def _referenced_names(tree, skip):
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return names
@@ -51,8 +65,7 @@ KEPT_UNREFERENCED = set()
 def test_every_private_helper_has_a_caller_in_the_library():
     # A helper left behind by a deleted path is dead code; a reference from
     # inside its own body (recursion) does not count.
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _library_trees()
     orphans = set()
     for module, tree in trees.items():
         for node in _private_defs(tree):
@@ -61,3 +74,42 @@ def test_every_private_helper_has_a_caller_in_the_library():
             if not used:
                 orphans.add(f"{module}.{node.name}")
     assert orphans == KEPT_UNREFERENCED
+
+
+def _module_level_assignments(tree):
+    """(name, node) for each name a module-level assignment binds, dunders aside."""
+    return [
+        (target.id, node)
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for target in ast.walk(top)
+        if isinstance(target, ast.Name) and not target.id.endswith("__")
+    ]
+
+
+def test_every_module_level_name_is_read_in_the_library():
+    # A constant or alias that nothing reads is dead code, public or not.
+    trees = _library_trees()
+    unread = {
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _module_level_assignments(tree)
+        if not any(name in _referenced_names(other, node) for other in trees.values())
+    }
+    assert unread == set()
+
+
+GUARDED = [
+    count_parking_functions, count_prime_parking_functions, verify_bijection,
+    verify_proposition, enumerate_regions, verify_pak_stanley,
+]
+
+
+@pytest.mark.parametrize("oracle", GUARDED, ids=lambda oracle: oracle.__name__)
+def test_each_guard_is_the_one_its_docstring_states(oracle):
+    # The docstring is where a caller reads the bound, so the check must match it.
+    [bound] = re.findall(r"Guarded\s+to\s+n\s+<=\s+(\d+)", oracle.__doc__)
+    hi = int(bound)
+    with pytest.raises(GuardRangeError) as exc:
+        oracle(hi + 1)
+    assert str(exc.value) == f"{oracle.__name__} is guarded to n <= {hi} (got n={hi + 1})"
