@@ -3,9 +3,10 @@
 Every word a in [n-1]^n factors uniquely as a shift k in [n-1] together with
 a prime parking function b satisfying a_i = b_i + k - 1 (mod n-1) for all i,
 a cycle-lemma style bijection [n-1]^n <-> [n-1] x PPF_n.  The shift is found
-by scoring each entry of the sorted word and taking the unique minimizer,
-and it also has a street interpretation: k is the one rotation for which all
-cars park on the street labeled k, k, k+1, ..., n-1, 1, ..., k-1.
+by scoring each entry of the sorted word and taking the unique minimizer
+(``decompose`` reads it in closed form, with no score vector), and it also
+has a street interpretation: k is the one rotation for which all cars park
+on the street labeled k, k, k+1, ..., n-1, 1, ..., k-1.
 
 The sampler inverts the counting consequence |PPF_n| = (n-1)^(n-1): pushing
 a uniform word through the decomposition yields an exactly uniform prime
@@ -86,12 +87,18 @@ def decompose(word):
 
 def _decompose(word):
     """``decompose`` without input checks: word is a tuple over [n-1], n >= 2."""
-    q = tuple(sorted(word))
-    # The argmin is q's first k: equal entries score higher the later they sit.
-    i = _scores(q).argmin - 1
+    q = sorted(word)
+    n = len(q)
+    # The score argmin in closed form.  With the excess e_i = q_i - (i-1),
+    # sum(q) - s_i = n*e_i + (i-1) and 0 <= i-1 < n, so the scores are
+    # distinct and the minimum sits at the last index of the largest excess;
+    # no tie can occur.  Equal neighbours q_{i-1} = q_i give e_{i-1} > e_i,
+    # so that index is also the first position of its entry k.
+    excess = list(map(operator.sub, q, range(n)))
+    i = n - 1 - excess[::-1].index(max(excess))
     k = q[i]
     # itemgetter reads the table in C, and returns a tuple since n >= 2.
-    table = _shift_table(k, len(word) - 1)
+    table = _shift_table(k, n - 1)
     b = operator.itemgetter(*word)(table)
     # The shift sends the entries >= k, in order, below the entries < k, so
     # q rotated to start at its first k maps to b sorted.

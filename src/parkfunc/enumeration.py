@@ -151,20 +151,22 @@ def count_prime_parking_functions(n, force=False):
 def verify_bijection(n, force=False):
     """Check the shift decomposition on every word of [n-1]^n, orbit by orbit.
 
-    With m = n-1, each sorted word a must give decompose(a) = (k, b) with
-    sorted(b) prime, a_i = b_i + k - 1 (mod m), k in [m] (a shift outside
-    it is a wrong answer, not bad input), recompose(b, k) == a, and a pair
-    (k, sorted(b)) not seen before.  The pairs are then distinct and lie in
-    [m] x (prime sorted words), so they cover it exactly when there are
-    m * |primes| of them.  No orbit size or prime-shift table is read.
+    Write down_kk(x) = (x - kk) mod m + 1, with m = n-1.  Each sorted word
+    a must give decompose(a) = (k, b) with k in [m] (a shift outside it is
+    a wrong answer, not bad input), b = down_k(a) entry by entry (the
+    congruence a_i = b_i + k - 1 (mod m) with b over [m], read from one
+    table per shift built in the call), sorted(b) prime,
+    recompose(b, k) == a, and a pair (k, sorted(b)) not seen before.  The
+    pairs are then distinct and lie in [m] x (prime sorted words), so they
+    cover it exactly when there are m * |primes| of them.  No orbit size or
+    prime-shift table is read.
 
-    Why this is exact.  Write down_kk(x) = (x - kk) mod m + 1, a bijection
-    of [m].  sorted(b) is prime, so b's entries lie in [m] and the
-    congruence forces b = down_k(a) entry by entry: a and sorted(b) have
-    the same multiplicities, so their orbits have the same size.  decompose
-    is equivariant by construction (k is read from the sorted word and b is
-    an entrywise map of the word), so decompose(σa) = (k, σb) for every
-    permutation σ of positions, and the orbit of a maps one to one onto
+    Why this is exact.  down_kk is a bijection of [m], so a and
+    sorted(b) = sorted(down_k(a)) have the same multiplicities and their
+    orbits have the same size.  decompose is equivariant by construction
+    (k is read from the sorted word and b is an entrywise map of the
+    word), so decompose(σa) = (k, σb) for every permutation σ of
+    positions, and the orbit of a maps one to one onto
     {k} x orbit(sorted(b)).  No pair repeats, so the count identity
     C(2n-2, n) = m * |primes| is never assumed.  And k is the only prime
     shift: if kk != k made q' = sorted(down_kk(a)) prime, the coverage
@@ -174,18 +176,34 @@ def verify_bijection(n, force=False):
     """
     check_guard("verify_bijection", n, 2, 8, force)
     m = n - 1
+    # down[kk][x] = down_kk(x) for kk and x in [m], from the formula rather
+    # than decompose's own shift table, so that a wrong table there shows.
+    down = [None, *([None, *((x - kk) % m + 1 for x in range(1, m + 1))]
+                    for kk in range(1, m + 1))]
     primes = set(filter(_prime_sorted, _sorted_words(m, n)))
     seen = set()
     for a in _sorted_words(m, n):
         k, b = decompose(a)
+        if not 1 <= k <= m or operator.itemgetter(*a)(down[k]) != b:
+            return False
         q = tuple(sorted(b))
-        # a_i - b_i = k - 1 (mod m) for every i, in C.
-        residues = set(map(operator.mod, map(operator.sub, a, b), itertools.repeat(m)))
-        if (q not in primes or residues != {(k - 1) % m} or not 1 <= k <= m
-                or recompose(b, k) != a or (k, q) in seen):
+        if q not in primes or recompose(b, k) != a or (k, q) in seen:
             return False
         seen.add((k, q))
     return len(seen) == m * len(primes)
+
+
+def _park_column(n, f):
+    """column[state]: a street's next state when a car heads for spot f.
+
+    A state of a street of n spots is its occupied-spot mask, or dead = 2^n
+    (which no mask reaches) once a car has left it.  The car takes the
+    first free spot at or after f, or leaves; dead stays dead.
+    """
+    dead = 1 << n
+    reach = (dead - 1) & -(1 << f)
+    return [mask | (free & -free) if (free := reach & ~mask) else dead
+            for mask in range(dead)] + [dead]
 
 
 def verify_proposition(n, force=False):
@@ -200,17 +218,20 @@ def verify_proposition(n, force=False):
     since decompose reads k from the sorted word.
 
     The check runs over one set of pairs (masks, code): masks holds each
-    street's occupied-spot bitmask, or None once a car has left that
-    street, and code is the multiset code of the cars so far.  The set
-    starts as {(empty streets, 0)}, and each of n rounds parks one more car
-    p in [n-1] on every street of every pair and adds (n+1)^(p-1) to its
-    code.  Parking is online: a word's outcome after t+1 cars is its
-    outcome after t cars with the last car parked on top.  So, by induction
-    on t, the set after t rounds is exactly {(the word's outcome on every
-    street, its code)} over all words of t cars, and checking every final
-    pair checks every word: its open streets must be exactly
-    [shift_of[code]].  Words that reach the same pair are checked once.
-    Guarded to n <= 9.
+    street's state, its occupied-spot bitmask or dead = 2^n once a car has
+    left that street, and code is the multiset code of the cars so far.
+    Where a car goes depends only on the spot f where its label first sits,
+    so each call builds n shared transition columns after[f][state]
+    (``_park_column``), and car p moves street s through the column of its
+    first p.  The set starts as {(empty streets, 0)}, and each of n rounds
+    parks one more car p in [n-1] on every street of every pair and adds
+    (n+1)^(p-1) to its code.  Parking is online: a word's outcome after t+1
+    cars is its outcome after t cars with the last car parked on top.  So,
+    by induction on t, the set after t rounds is exactly {(the word's
+    outcome on every street, its code)} over all words of t cars, and
+    checking every final pair checks every word: its open streets must be
+    exactly [shift_of[code]].  Words that reach the same pair are checked
+    once.  Guarded to n <= 9.
     """
     check_guard("verify_proposition", n, 2, 9, force)
     m = n - 1
@@ -219,25 +240,18 @@ def verify_proposition(n, force=False):
     shift_of = {
         sum(map(step_of.__getitem__, q)): decompose(q).k for q in _sorted_words(m, n)
     }
-    full = (1 << n) - 1
+    dead = 1 << n
+    after = [_park_column(n, f) for f in range(n)]
     first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]
-    # ahead[p - 1][s]: the spots of street s at or after the first labelled p.
-    ahead = [[full & -(1 << fp[p]) for fp in first] for p in range(1, n)]
+    # moves[p - 1][s]: the column car p moves street s through.
+    moves = [[after[fp[p]] for fp in first] for p in range(1, n)]
     pairs = {((0,) * m, 0)}
     for _ in range(n):
-        after = set()
-        for masks, code in pairs:
-            for spots, step in zip(ahead, steps):
-                parked = []
-                for mask, reach in zip(masks, spots):
-                    if mask is not None:
-                        free = reach & ~mask
-                        mask = mask | (free & -free) if free else None
-                    parked.append(mask)
-                after.add((tuple(parked), code + step))
-        pairs = after
+        pairs = {(tuple(map(list.__getitem__, row, masks)), code + step)
+                 for masks, code in pairs for row, step in zip(moves, steps)}
     for masks, code in pairs:
-        live = [k for k, mask in enumerate(masks, start=1) if mask is not None]
-        if live != [shift_of[code]]:
+        k = shift_of[code]
+        # Check k's range first: k = 0 would read the last street.
+        if not 1 <= k <= m or masks[k - 1] == dead or masks.count(dead) != m - 1:
             return False
     return True

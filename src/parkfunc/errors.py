@@ -36,10 +36,13 @@ def check_guard(name, n, lo, hi, force=False):
 
     An n below ``lo``, or an n that is not an int (a bool included), is bad
     input whatever ``force`` is, so it raises a plain ``ValueError``:
-    forcing cannot make the operation meaningful.
+    forcing cannot make the operation meaningful.  So does a ``force`` that
+    is not a bool, which would otherwise force the run by being truthy.
     """
     if not is_int(n):
         raise ValueError(f"{name} needs an integer n (got n={n!r})")
+    if not isinstance(force, bool):
+        raise ValueError(f"{name} needs a bool force (got force={force!r})")
     if n < lo:
         raise ValueError(f"{name} needs n >= {lo} (got n={n})")
     if not force and n > hi:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from parkfunc import (
 )
 from parkfunc.cycle_lemma import _recompose, _shift_table
 from conftest import PRIME15, SHIFT15, WORD15, run_python
+from word_oracle import decompose_by_scores
 
 
 def brute_force_shift(word):
@@ -151,6 +153,24 @@ class TestDecompose:
         k, b = decompose(a)
         assert is_prime_parking_function(b)
         assert recompose(b, k) == a
+
+
+class TestClosedFormShift:
+    """decompose's closed-form argmin against the score vector it replaces."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_sorted_word_follows_the_score_rule(self, n):
+        for q in itertools.combinations_with_replacement(range(1, n), n):
+            k, b = decompose(q)
+            assert k == q[scores(q).argmin - 1], q
+            assert (k, b) == decompose_by_scores(q), q
+
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_random_words_match_the_score_reference(self, n):
+        rng = random.Random(n)
+        for _ in range(200):
+            word = tuple(rng.choices(range(1, n), k=n))
+            assert decompose(word) == decompose_by_scores(word), word
 
 
 class TestShiftArithmetic:

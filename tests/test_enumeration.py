@@ -21,6 +21,7 @@ from parkfunc import (
     decompose,
     is_parking_function,
     is_prime_parking_function,
+    rotated_street,
     verify_bijection,
     verify_proposition,
 )
@@ -149,6 +150,12 @@ def test_bijection_agrees_with_word_scan(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_proposition_agrees_with_word_scan(n):
     expected = word_oracle.verify_proposition(n, force=True)
+    assert verify_proposition(n) is expected is True
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_proposition_tables_agree_with_the_mask_automaton(n):
+    expected = word_oracle.verify_proposition_by_masks(n)
     assert verify_proposition(n) is expected is True
 
 
@@ -296,6 +303,49 @@ def test_street_swaps_give_the_word_scan_verdict(monkeypatch, n):
             assert verify_proposition(n) is expected, f"street {k}, swap {i}<->{j}"
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def _shift_path_entries(n):
+    """The (f, mask) table entries some word reads on its own shift's street.
+
+    Each car of the word reads the entry of the spot f where its label
+    first sits and the mask of the spots taken before it.
+    """
+    entries = set()
+    for a in all_words(n - 1, n):
+        first = parkfunc.core._first_positions(rotated_street(n, decompose(a).k))
+        mask = 0
+        for x in a:
+            entries.add((first[x], mask))
+            free = ((1 << n) - 1) & -(1 << first[x]) & ~mask
+            mask |= free & -free
+    return entries
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_free_spot_read_as_dead_fails_where_a_word_reads_it(monkeypatch, n):
+    # Killing a street early changes no verdict on a street the word leaves
+    # anyway, so one corrupted entry must fail exactly when some word reads
+    # it on the street of its shift, where every car must park.
+    real = parkfunc.enumeration._park_column
+    dead = 1 << n
+    failed = set()
+    for f in range(n):
+        for mask, target in enumerate(real(n, f)[:dead]):
+            if target == dead:
+                continue
+
+            def column(nn, ff, f=f, mask=mask):
+                entries = real(nn, ff)
+                if ff == f:
+                    entries[mask] = dead
+                return entries
+
+            monkeypatch.setattr(parkfunc.enumeration, "_park_column", column)
+            if verify_proposition(n) is False:
+                failed.add((f, mask))
+    assert (0, 0) in failed
+    assert failed == _shift_path_entries(n)
 
 
 # Word-by-word checks of the two facts the orbit oracles rest on.

@@ -99,6 +99,61 @@ def test_every_module_level_name_is_read_in_the_library():
     assert unread == set()
 
 
+def _binds_only(node):
+    """Whether a module-level statement only binds names when it runs.
+
+    Imports, def and class statements, and dunder names bound to literals
+    (``__all__``, ``__version__``) bind; so does the ``__main__`` guard,
+    whose body runs only when the module is the program.
+    """
+    if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                         ast.AsyncFunctionDef, ast.ClassDef)):
+        return True
+    if isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if len(names) != len(node.targets) or not all(
+                name.startswith("__") and name.endswith("__") for name in names):
+            return False
+        try:
+            ast.literal_eval(node.value)
+        except ValueError:
+            return False
+        return True
+    return (isinstance(node, ast.If) and not node.orelse
+            and ast.unparse(node.test) == "__name__ == '__main__'")
+
+
+def test_module_bodies_do_no_work_at_import():
+    # Every command pays for the import, so a table computed in a module body
+    # is paid for by callers that never read it; build it inside the call.
+    work = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _library_trees().items()
+        for node in tree.body[ast.get_docstring(tree) is not None:]
+        if not _binds_only(node)
+    ]
+    assert work == []
+
+
+LIBRARY_IMPORTS = {
+    "argparse", "dataclasses", "fractions", "functools", "itertools", "json",
+    "math", "operator", "os", "random", "sys", "time", "typing",
+}
+
+
+def test_the_library_imports_only_the_pinned_stdlib_modules():
+    # A new import adds to every command's start-up, so it is a decision to
+    # record here, not a side effect of a change.
+    found = set()
+    for tree in _library_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert found == LIBRARY_IMPORTS
+
+
 GUARDED = [
     count_parking_functions, count_prime_parking_functions, verify_bijection,
     verify_proposition, enumerate_regions, verify_pak_stanley,
@@ -113,3 +168,15 @@ def test_each_guard_is_the_one_its_docstring_states(oracle):
     with pytest.raises(GuardRangeError) as exc:
         oracle(hi + 1)
     assert str(exc.value) == f"{oracle.__name__} is guarded to n <= {hi} (got n={hi + 1})"
+
+
+@pytest.mark.parametrize("force", ["yes", "", 1, 0, 1.0, None])
+@pytest.mark.parametrize("oracle", GUARDED, ids=lambda oracle: oracle.__name__)
+def test_force_must_be_a_bool(oracle, force):
+    # A truthy non-bool used to force the run; above the guard it would
+    # have scanned a space the guard is there to refuse.
+    for n in (3, 11):
+        with pytest.raises(ValueError) as exc:
+            oracle(n, force=force)
+        assert not isinstance(exc.value, GuardRangeError)
+        assert str(exc.value) == f"{oracle.__name__} needs a bool force (got force={force!r})"

@@ -6,11 +6,16 @@ oracles rest on.  ``tests/test_enumeration.py`` checks that the library
 returns the same answers for every n these scans reach at desk speed.
 
 Above that, the library counts are held to ``orbit_tally``: one kernel call
-per sorted word, weighted by its orbit size from ``orbit_weights``.
+per sorted word, weighted by its orbit size from ``orbit_weights``.  The
+closed-form shift of ``decompose`` is held to ``decompose_by_scores``, which
+takes the minimal entry of the score vector, and the transition tables of
+``verify_proposition`` to ``verify_proposition_by_masks``, which parks each
+car bit by bit.
 """
 
 import itertools
 import math
+import operator
 import time
 
 from parkfunc import (
@@ -23,6 +28,9 @@ from parkfunc import (
     rotated_street,
     simulate,
 )
+from parkfunc.core import _first_positions, _prime_sorted
+from parkfunc.cycle_lemma import Decomposition, _scores, _shift_table
+from parkfunc.enumeration import _sorted_words
 from parkfunc.errors import InvariantError, check_guard
 
 
@@ -173,5 +181,60 @@ def verify_proposition(n, force=False):
     for a in all_words(n - 1, n):
         winners = [k for k, street in streets.items() if simulate(a, street).success]
         if winners != [decompose(a).k]:
+            return False
+    return True
+
+
+def decompose_by_scores(word):
+    """The decomposition of a tuple over [n-1], n >= 2, with k read off the scores.
+
+    k is the entry at the minimal score of the sorted word, found by
+    building the whole score vector; unchecked, like the library kernel.
+    """
+    q = tuple(sorted(word))
+    # The argmin is q's first k: equal entries score higher the later they sit.
+    i = _scores(q).argmin - 1
+    k = q[i]
+    table = _shift_table(k, len(word) - 1)
+    b = operator.itemgetter(*word)(table)
+    if not _prime_sorted(operator.itemgetter(*q[i:], *q[:i])(table)):
+        raise InvariantError(f"decompose({word}) produced the non-prime word {b}")
+    return Decomposition(k, b)
+
+
+def verify_proposition_by_masks(n, force=False):
+    """``verify_proposition`` on the same (masks, code) pairs, parking bit by bit.
+
+    Each street's state is its occupied-spot mask, or None once a car has
+    left it, and each car takes the lowest free bit at or after the first
+    spot its label sits on; no transition table is built.
+    """
+    check_guard("verify_proposition", n, 2, 9, force)
+    m = n - 1
+    steps = [(n + 1) ** (p - 1) for p in range(1, n)]
+    step_of = [None, *steps]
+    shift_of = {
+        sum(map(step_of.__getitem__, q)): decompose(q).k for q in _sorted_words(m, n)
+    }
+    full = (1 << n) - 1
+    first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]
+    # ahead[p - 1][s]: the spots of street s at or after the first labelled p.
+    ahead = [[full & -(1 << fp[p]) for fp in first] for p in range(1, n)]
+    pairs = {((0,) * m, 0)}
+    for _ in range(n):
+        after = set()
+        for masks, code in pairs:
+            for spots, step in zip(ahead, steps):
+                parked = []
+                for mask, reach in zip(masks, spots):
+                    if mask is not None:
+                        free = reach & ~mask
+                        mask = mask | (free & -free) if free else None
+                    parked.append(mask)
+                after.add((tuple(parked), code + step))
+        pairs = after
+    for masks, code in pairs:
+        live = [k for k, mask in enumerate(masks, start=1) if mask is not None]
+        if live != [shift_of[code]]:
             return False
     return True
