@@ -178,32 +178,21 @@ def _cmd_sample(args):
 
 
 def _cmd_shi(args):
-    regions = enumerate_regions(args.n)
-    if not args.json:
-        for r in regions:
-            print(
-                f"{r.sign_vector.as_string()} {format_word(r.label)} "
-                f"{str(r.bounded).lower()} {r.bfs_depth}"
-            )
-        return 0
-    _emit(args, None, {
-        "n": args.n,
-        "regions": [
-            {
-                "signs": r.sign_vector.as_string(),
-                "label": r.label,
-                "bounded": r.bounded,
-                "depth": r.bfs_depth,
-            }
-            for r in regions
-        ],
-    })
+    rows = [{"signs": r.sign_vector.as_string(), "label": r.label, "bounded": r.bounded,
+             "depth": r.bfs_depth} for r in enumerate_regions(args.n)]
+    _emit(args, lambda: "\n".join(
+        f"{row['signs']} {format_word(row['label'])} "
+        f"{str(row['bounded']).lower()} {row['depth']}"
+        for row in rows
+    ), {"n": args.n, "regions": rows})
     return 0
 
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON record")
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--n", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="parkfunc",
@@ -212,57 +201,44 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # name -> subcommand parser, for `run`
 
-    p = sub.add_parser("check", parents=[common], help="membership predicates")
+    def add(name, handler, summary, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add("check", _cmd_check, "membership predicates")
     p.add_argument("--word", required=True, help="comma/space separated entries")
     p.add_argument("--prime", action="store_true", help="test primality instead")
-    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="split a word over [n-1] into shift k and prime word b")
+    p = add("decompose", _cmd_decompose,
+            "split a word over [n-1] into shift k and prime word b")
     p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("recompose", parents=[common],
-                       help="rebuild the word from b and k")
+    p = add("recompose", _cmd_recompose, "rebuild the word from b and k")
     p.add_argument("--word", required=True, help="the prime word b")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_recompose)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the parking process")
+    p = add("simulate", _cmd_simulate, "run the parking process")
     p.add_argument("--word", required=True)
     p.add_argument("--street", choices=["standard", "prime", "rotated"],
                    default="standard")
     p.add_argument("--k", type=int, help="rotation, only with --street rotated")
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("strip", parents=[common], help="drop the first 1 of a word")
+    p = add("strip", _cmd_strip, "drop the first 1 of a word")
     p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_strip)
 
-    p = sub.add_parser("count", parents=[common],
-                       help="exhaustive count against the closed form")
-    p.add_argument("--n", type=int, required=True)
+    p = add("count", _cmd_count, "exhaustive count against the closed form", sized)
     p.add_argument("--prime", action="store_true")
-    p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("verify", parents=[common], help="exhaustive verifications")
-    p.add_argument("--n", type=int, required=True)
+    p = add("verify", _cmd_verify, "exhaustive verifications", sized)
     p.add_argument("--what", required=True,
                    choices=["bijection", "proposition", "pak-stanley"])
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="uniform prime parking functions")
-    p.add_argument("--n", type=int, required=True)
+    p = add("sample", _cmd_sample, "uniform prime parking functions", sized)
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, default=1)
-    p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("shi", parents=[common],
-                       help="list the labeled regions of the arrangement")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_shi)
-
+    add("shi", _cmd_shi, "list the labeled regions of the arrangement", sized)
     return parser
 
 

@@ -34,6 +34,15 @@ class Decomposition(NamedTuple):
     b: tuple
 
 
+def _shift_word(word, needs):
+    """word as a tuple over [n-1], n = len(word) >= 2; ``needs`` opens the length error."""
+    word = _as_word(word)
+    if len(word) < 2:
+        raise ValueError(f"{needs} a word of length >= 2")
+    _check_range(word, len(word) - 1)
+    return word
+
+
 def scores(q):
     """Score a nondecreasing word q over [n-1]: s_i = sum(q) - n*q_i + (i-1)(n-1).
 
@@ -41,19 +50,10 @@ def scores(q):
     (n-1)(i-d) = n(q_i - q_d), impossible for i != d since n and n-1 are
     coprime and |i-d| < n.  A tie therefore indicates a bug, not bad input.
     """
-    q = _as_word(q)
+    q = _shift_word(q, "scores need")
     n = len(q)
-    if n < 2:
-        raise ValueError("scores need a word of length >= 2")
-    _check_range(q, n - 1)
     if any(q[i] > q[i + 1] for i in range(n - 1)):
         raise ValueError("scores expect a nondecreasing word")
-    return _scores(q)
-
-
-def _scores(q):
-    """``scores`` without input checks: q is a nondecreasing word over [n-1], n >= 2."""
-    n = len(q)
     total = sum(q)
     # s_i = (total + (i-1)(n-1)) - n*q_i, one map over q in C.
     values = tuple(map(operator.sub, range(total, total + n * (n - 1), n - 1),
@@ -78,11 +78,7 @@ def decompose(word):
     first is checked on every call, on the sorted b, and a failure raises
     ``InvariantError`` (also under ``python -O``).
     """
-    word = _as_word(word)
-    if len(word) < 2:
-        raise ValueError("decompose needs a word of length >= 2")
-    _check_range(word, len(word) - 1)
-    return _decompose(word)
+    return _decompose(_shift_word(word, "decompose needs"))
 
 
 def _decompose(word):
@@ -109,12 +105,8 @@ def _decompose(word):
 
 def recompose(b, k):
     """Inverse of decompose: a_i = ((b_i + k - 2) mod (n-1)) + 1."""
-    b = _as_word(b)
-    n = len(b)
-    if n < 2:
-        raise ValueError("recompose needs a word of length >= 2")
-    _check_range(b, n - 1)
-    _check_k(k, n, "shift")
+    b = _shift_word(b, "recompose needs")
+    _check_k(k, len(b), "shift")
     return _recompose(b, k)
 
 

@@ -362,9 +362,9 @@ def enumerate_regions(n, force=False):
     Built by ``_regions`` from the (w, U) pairs of the module docstring, with
     no distance matrix, then sorted into the order of the wall-crossing walk
     in ``tests/shi_walk.py``: level by level, each level by sign string.  On
-    a shared 2-core machine with Python 3.11 it takes 1.0 ms at n=4, 16 ms
-    at n=5 and 0.27 s at n=6, about a quarter of the walk's time.  Guarded
-    to n <= 6; a forced n=7 takes about 5 s.
+    a shared 2-core Intel Xeon with Python 3.11.7, over repeated runs, it took
+    0.6-1.1 ms at n=4, 8-14 ms at n=5 and 0.14-0.25 s at n=6, a fifth of the
+    walk's time.  Guarded to n <= 6; a forced n=7 took 3.7-4.8 s.
     """
     check_guard("enumerate_regions", n, 2, 6, force)
     # '+' sorts before '-', so ascending sign strings are descending sign

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import subprocess
@@ -462,6 +463,96 @@ class TestShi:
         assert code == 0 and len(text.splitlines()) == 125
         code, blob, _ = invoke(capsys, "shi", "--n", "4", "--json")
         assert code == 0 and len(json.loads(blob)["regions"]) == 125
+
+
+HELP = ("-h", "--help"), "help", False, None, argparse.SUPPRESS, None, \
+    "show this help message and exit"
+JSON = ("--json",), "json", False, None, False, None, "emit a JSON record"
+N = ("--n",), "n", True, int, None, None, None
+WORD = ("--word",), "word", True, None, None, None, None
+
+# Each parser's help string (the description at the top level), then each
+# action's option strings, dest, required, type, default, choices and help,
+# in order.  Any change to a flag, its order or its help text shows here.
+SURFACE = [
+    (None, "Parking functions: check, decompose, simulate, count, regions.", [
+        HELP,
+        ((), "command", True, None, None,
+         ["check", "decompose", "recompose", "simulate", "strip", "count", "verify",
+          "sample", "shi"], None),
+    ]),
+    ("check", "membership predicates", [
+        HELP, JSON,
+        (("--word",), "word", True, None, None, None, "comma/space separated entries"),
+        (("--prime",), "prime", False, None, False, None, "test primality instead"),
+    ]),
+    ("decompose", "split a word over [n-1] into shift k and prime word b", [
+        HELP, JSON, WORD,
+    ]),
+    ("recompose", "rebuild the word from b and k", [
+        HELP, JSON,
+        (("--word",), "word", True, None, None, None, "the prime word b"),
+        (("--k",), "k", True, int, None, None, None),
+    ]),
+    ("simulate", "run the parking process", [
+        HELP, JSON, WORD,
+        (("--street",), "street", False, None, "standard",
+         ["standard", "prime", "rotated"], None),
+        (("--k",), "k", False, int, None, None, "rotation, only with --street rotated"),
+    ]),
+    ("strip", "drop the first 1 of a word", [
+        HELP, JSON, WORD,
+    ]),
+    ("count", "exhaustive count against the closed form", [
+        HELP, JSON, N,
+        (("--prime",), "prime", False, None, False, None, None),
+    ]),
+    ("verify", "exhaustive verifications", [
+        HELP, JSON, N,
+        (("--what",), "what", True, None, None,
+         ["bijection", "proposition", "pak-stanley"], None),
+    ]),
+    ("sample", "uniform prime parking functions", [
+        HELP, JSON, N,
+        (("--seed",), "seed", False, int, None, None, None),
+        (("--count",), "count", False, int, 1, None, None),
+    ]),
+    ("shi", "list the labeled regions of the arrangement", [
+        HELP, JSON, N,
+    ]),
+]
+
+
+def surface(parser):
+    return [
+        (tuple(a.option_strings), a.dest, a.required, a.type, a.default,
+         list(a.choices) if a.choices is not None else None, a.help)
+        for a in parser._actions
+    ]
+
+
+class TestSurface:
+    def test_every_parser_keeps_its_flags(self):
+        parser = parkfunc.cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = [(None, parser.description, surface(parser))] + [
+            (choice.dest, choice.help, surface(sub.choices[choice.dest]))
+            for choice in sub._choices_actions
+        ]
+        assert found == SURFACE
+
+    # SHA-256 of the stdout of `parkfunc shi --n 5`, in each view.
+    @pytest.mark.parametrize("argv,sha", [
+        (("shi", "--n", "5"),
+         "b081713037adb6926d8e70f3d377800ecdcecb39de4a4fdb314f8ee1cf838a9b"),
+        (("shi", "--n", "5", "--json"),
+         "49c01e2710fce6626473380e468f15d3536828014dbd596bfc1adc7d0749fe1a"),
+    ])
+    def test_shi_listing_is_unchanged(self, capsys, argv, sha):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 class TestParserReuse:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -218,6 +219,48 @@ class TestRecompose:
         with pytest.raises(ValueError) as exc:
             recompose((1, 1, 2), k)
         assert str(exc.value) == f"shift k must be an integer, got {k!r}"
+
+
+# SHA-256 digests of the outputs over whole input spaces: any change of a
+# score, argmin, shift or prime word shows here.
+SCORES_DIGESTS = {
+    2: "18f3df02a8e86094889bc41745125b67cb74978f257c9e9d0f60a24dd2e2a407",
+    3: "412ebec3d4ba3b34a6196ae15ae311ff6a7c802ffbb97da8cf0c0c36dc3ae011",
+    4: "272da7e95d7b8d4cf6cd68d2e7dc7d390b1acd09bfc0c1d563b25174a88eaa32",
+    5: "09087c2b1c51ffd5193c796d3424a71e3e0b07e32ab1cd809dda9da4d43b85ab",
+    6: "b86d4a1166d74ea02858a32f34976aedde25f77ea231c7426c49ead4d8c0aaea",
+    7: "6d179d1c83efe8f02eb2c38701288922e457746bf62da0cca3e9221f17ab1417",
+    8: "4df7fc55e71fc0ad51a23678aa20bc841f9db66bd01153f0d2de18ab3acf042e",
+}
+SHIFT_DIGESTS = {
+    2: "2b438c6c0f41dbccc29ab3cf33f70c9058a8ac062afc25a8e2d803a476d48c0f",
+    3: "2c0a9a27a567138257f5cdc6bb60670e21911a4e29664f740b4696e20dea0c4e",
+    4: "9c1c2eab41b24e0abad2a3ffdf6a90ac4ee926a7ec839f62c607161a1834e555",
+    5: "f8554915b4a1158dd44a34714d18a9d00269ca3198e94ee9ac3ffe0d0bf82908",
+    6: "02c372b183666014a47ead453bbcf796adde3096353377d2f414d932e5d7f2db",
+    7: "1e7f482c732b1ceb4e8f0cc6368c1a68a852c0d95f51e3fabba173ca17e47dad",
+}
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestOutputsStayFixed:
+    @pytest.mark.parametrize("n", sorted(SCORES_DIGESTS))
+    def test_scores_of_every_sorted_word(self, n):
+        out = [tuple(scores(q))
+               for q in itertools.combinations_with_replacement(range(1, n), n)]
+        assert digest(out) == SCORES_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", sorted(SHIFT_DIGESTS))
+    def test_decompose_and_recompose_of_every_word(self, n):
+        # recompose reads each word as a b, shifted by that word's own k.
+        words = list(itertools.product(range(1, n), repeat=n))
+        parts = list(map(decompose, words))
+        ks = [part.k for part in parts]
+        back = list(map(recompose, words, ks))
+        assert digest((ks, [part.b for part in parts], back)) == SHIFT_DIGESTS[n]
 
 
 class TestSampler:

@@ -76,29 +76,6 @@ def test_every_private_helper_has_a_caller_in_the_library():
     assert orphans == KEPT_UNREFERENCED
 
 
-def _module_level_assignments(tree):
-    """(name, node) for each name a module-level assignment binds, dunders aside."""
-    return [
-        (target.id, node)
-        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
-        for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        for target in ast.walk(top)
-        if isinstance(target, ast.Name) and not target.id.endswith("__")
-    ]
-
-
-def test_every_module_level_name_is_read_in_the_library():
-    # A constant or alias that nothing reads is dead code, public or not.
-    trees = _library_trees()
-    unread = {
-        f"{module}.{name}"
-        for module, tree in trees.items()
-        for name, node in _module_level_assignments(tree)
-        if not any(name in _referenced_names(other, node) for other in trees.values())
-    }
-    assert unread == set()
-
-
 def _binds_only(node):
     """Whether a module-level statement only binds names when it runs.
 

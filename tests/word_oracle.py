@@ -29,7 +29,7 @@ from parkfunc import (
     simulate,
 )
 from parkfunc.core import _first_positions, _prime_sorted
-from parkfunc.cycle_lemma import Decomposition, _scores, _shift_table
+from parkfunc.cycle_lemma import Decomposition, _shift_table, scores
 from parkfunc.enumeration import _sorted_words
 from parkfunc.errors import InvariantError, check_guard
 
@@ -189,11 +189,11 @@ def decompose_by_scores(word):
     """The decomposition of a tuple over [n-1], n >= 2, with k read off the scores.
 
     k is the entry at the minimal score of the sorted word, found by
-    building the whole score vector; unchecked, like the library kernel.
+    building the whole score vector with the public ``scores``.
     """
     q = tuple(sorted(word))
     # The argmin is q's first k: equal entries score higher the later they sit.
-    i = _scores(q).argmin - 1
+    i = scores(q).argmin - 1
     k = q[i]
     table = _shift_table(k, len(word) - 1)
     b = operator.itemgetter(*word)(table)
