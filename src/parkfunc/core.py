@@ -9,7 +9,7 @@ classical Konheim-Weiss criterion characterizes them through the
 nondecreasing rearrangement of the word.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import check_int, is_int
 
@@ -164,8 +164,7 @@ def rotated_street(n, k):
     return (k,) + tuple(range(k, n)) + tuple(range(1, k))
 
 
-@dataclass(frozen=True)
-class ParkOutcome:
+class ParkOutcome(NamedTuple):
     """Result of running the parking process.
 
     On success, ``assignment[p]`` is the 1-based index of the car parked at

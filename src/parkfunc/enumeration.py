@@ -33,7 +33,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from .core import _first_positions, _prime_sorted, rotated_street
 # bench/tracer.py patches these names here, so they stay even when unused.
@@ -93,8 +93,7 @@ def _count_under(max_label, bounds):
     return total, _words_under(max_label, bounds)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Tally of an exhaustive count against a closed-form value."""
 
     n: int
@@ -105,7 +104,7 @@ class CountReport:
     elapsed: float
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _report(n, formula, tally):

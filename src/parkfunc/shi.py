@@ -34,7 +34,6 @@ only in the witness points.  No floats.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -68,36 +67,37 @@ def _sign_string(signs):
     return "".join("+" if s > 0 else "-" for s in signs)
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """A total assignment of sides, one per hyperplane of the arrangement.
-
-    ``signs[h]`` is +1 when the region lies on the x_i - x_j > k side of the
-    h-th hyperplane of ``hyperplanes(n)`` and -1 otherwise.
-    """
-
+class _SignFields(NamedTuple):
     n: int
     signs: tuple
 
-    def __post_init__(self):
-        check_int(self.n, 2, "n", "the arrangement needs n >= 2")
+
+class SignVector(_SignFields):
+    """A total assignment of sides, one per hyperplane of the arrangement.
+
+    ``signs[h]`` is +1 when the region lies on the x_i - x_j > k side of the
+    h-th hyperplane of ``hyperplanes(n)`` and -1 otherwise.  Construction
+    checks both fields; like ``_unchecked``, ``_make`` and ``_replace`` do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, signs):
+        check_int(n, 2, "n", "the arrangement needs n >= 2")
         # A list would pass every other check and then fail to hash.
-        if not isinstance(self.signs, tuple):
-            raise ValueError(f"signs must be a tuple, got {type(self.signs).__name__}")
-        if len(self.signs) != self.n * (self.n - 1):
-            raise ValueError(
-                f"expected {self.n * (self.n - 1)} signs, got {len(self.signs)}"
-            )
+        if not isinstance(signs, tuple):
+            raise ValueError(f"signs must be a tuple, got {type(signs).__name__}")
+        if len(signs) != n * (n - 1):
+            raise ValueError(f"expected {n * (n - 1)} signs, got {len(signs)}")
         # Compared by value, 1.0 and True would pass as 1; the types keep them out.
-        if not set(self.signs) <= {1, -1} or not set(map(type, self.signs)) <= {int}:
+        if not set(signs) <= {1, -1} or not set(map(type, signs)) <= {int}:
             raise ValueError("signs must be the ints +1 or -1")
+        return tuple.__new__(cls, (n, signs))
 
     @classmethod
     def _unchecked(cls, n, signs):
         """The sign vector of a tuple of n*(n-1) ints +1 or -1, not checked."""
-        sv = object.__new__(cls)
-        sv.__dict__.update(n=n, signs=signs)
-        return sv
+        return tuple.__new__(cls, (n, signs))
 
     def as_string(self):
         return _sign_string(self.signs)
@@ -248,8 +248,7 @@ def base_region(n):
     return SignVector(n, tuple(1 if hp.k == 0 else -1 for hp in hyperplanes(n)))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A chamber with its Pak-Stanley label and boundedness flag.
 
     ``bfs_depth`` equals the number of hyperplanes separating the region
@@ -363,8 +362,8 @@ def enumerate_regions(n, force=False):
     no distance matrix, then sorted into the order of the wall-crossing walk
     in ``tests/shi_walk.py``: level by level, each level by sign string.  On
     a shared 2-core Intel Xeon with Python 3.11.7, over repeated runs, it took
-    0.6-1.1 ms at n=4, 8-14 ms at n=5 and 0.14-0.25 s at n=6, a fifth of the
-    walk's time.  Guarded to n <= 6; a forced n=7 took 3.7-4.8 s.
+    0.57-0.93 ms at n=4, 6.9-11 ms at n=5 and 0.15-0.20 s at n=6, under a
+    fifth of the walk's time.  Guarded to n <= 6; a forced n=7 took 3.8-3.9 s.
     """
     check_guard("enumerate_regions", n, 2, 6, force)
     # '+' sorts before '-', so ascending sign strings are descending sign

@@ -703,3 +703,10 @@ class TestUsage:
         done = run_python("-S", "-c", "import sys, parkfunc, parkfunc.cli; "
                           "print('fractions' in sys.modules)")
         assert done.stdout == "False\n", done.stderr
+
+    def test_import_leaves_dataclasses_and_inspect_out(self):
+        # The records are NamedTuples: dataclasses would bring inspect, ast,
+        # dis and tokenize into every command's start-up.
+        done = run_python("-S", "-c", "import sys, parkfunc, parkfunc.cli; "
+                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        assert done.stdout == "[]\n", done.stderr

@@ -1,6 +1,5 @@
 import itertools
 import re
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -135,16 +134,18 @@ class TestFeasibility:
             assert satisfies(base, staircase)
             assert is_feasible(base)
 
-    def test_sign_vector_validation(self):
-        with pytest.raises(ValueError):
-            SignVector(3, (1, 1, 1))
-        with pytest.raises(ValueError):
-            SignVector(2, (1, 0))
-        # Equal to +1 and -1 by value, but not ints: no floats in the geometry.
-        with pytest.raises(ValueError):
-            SignVector(2, (1.0, -1.0))
-        with pytest.raises(ValueError):
-            SignVector(2, (True, -1))
+    # (1.0, -1.0) and (True, -1) equal +1 and -1 by value, but are not ints:
+    # no floats in the geometry.
+    @pytest.mark.parametrize("n,signs,message", [
+        (3, (1, 1, 1), "expected 6 signs, got 3"),
+        (2, (1, 0), "signs must be the ints +1 or -1"),
+        (2, (1.0, -1.0), "signs must be the ints +1 or -1"),
+        (2, (True, -1), "signs must be the ints +1 or -1"),
+    ], ids=["length", "zero", "floats", "bool"])
+    def test_sign_vector_validation(self, n, signs, message):
+        with pytest.raises(ValueError) as exc:
+            SignVector(n, signs)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("n", [True, 2.0, "2", None])
     def test_sign_vector_n_must_be_an_int(self, n):
@@ -177,11 +178,12 @@ class TestFeasibility:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_enumerated_sign_vectors_pass_the_checks(self, n):
         # _regions builds its sign vectors unchecked; each must be one the
-        # checked constructor accepts, and the same in value, hash and repr.
+        # checked constructor accepts, and the same in type, value, hash and repr.
         for region in enumerate_regions(n):
             sv = region.sign_vector
             checked = SignVector(n, sv.signs)
-            assert (sv, hash(sv), repr(sv)) == (checked, hash(checked), repr(checked))
+            assert (type(sv), sv, hash(sv), repr(sv)) == (
+                type(checked), checked, hash(checked), repr(checked))
 
     @pytest.mark.parametrize("point", [(1,), (1, Fraction(1, 2), 99)])
     def test_satisfies_needs_one_coordinate_per_variable(self, point):
@@ -411,15 +413,15 @@ def _tampered_streams(n):
     regions = enumerate_regions(n)
     u = next(idx for idx, r in enumerate(regions) if not r.bounded)
     base, rest, free, tail = regions[0], regions[1:u], regions[u], regions[u + 1:]
-    unbounded_base = replace(base, bounded=False)
-    bounded_free = replace(free, bounded=True)
+    unbounded_base = base._replace(bounded=False)
+    bounded_free = free._replace(bounded=True)
     return {
         None: regions,
         "duplicated label": [*regions, free],
         "missing region": [base, *rest, *tail],
-        "entry n+1": [replace(base, label=(1,) * (n - 1) + (n + 1,)), *regions[1:]],
-        "entry 0": [replace(base, label=(0,) + (1,) * (n - 1)), *regions[1:]],
-        "short label": [replace(base, label=(1,) * (n - 1)), *regions[1:]],
+        "entry n+1": [base._replace(label=(1,) * (n - 1) + (n + 1,)), *regions[1:]],
+        "entry 0": [base._replace(label=(0,) + (1,) * (n - 1)), *regions[1:]],
+        "short label": [base._replace(label=(1,) * (n - 1)), *regions[1:]],
         "bounded to unbounded": [unbounded_base, *regions[1:]],
         "unbounded to bounded": [base, *rest, bounded_free, *tail],
         "swapped bounded flags": [unbounded_base, *rest, bounded_free, *tail],

@@ -113,8 +113,8 @@ def test_module_bodies_do_no_work_at_import():
 
 
 LIBRARY_IMPORTS = {
-    "argparse", "dataclasses", "fractions", "functools", "itertools", "json",
-    "math", "operator", "os", "random", "sys", "time", "typing",
+    "argparse", "fractions", "functools", "itertools", "json", "math",
+    "operator", "os", "random", "sys", "time", "typing",
 }
 
 
