@@ -17,7 +17,7 @@ construction (k is read from the sorted word and b is an entrywise map of
 the word), so decompose(σa) = (k, σb), and the congruence gives matched
 orbits the same size (see ``verify_bijection``).  The test suite checks
 equivariance word by word for small n, and these oracles against full word
-scans and a sum of orbit sizes.
+scans and, above the scans' reach, the closed forms.
 
 The proposition is checked for every word: whether a word parks on a
 rotated street regardless of the order of its cars is part of what it

@@ -34,7 +34,6 @@ only in the witness points.  No floats.
 """
 
 import itertools
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import _parks_sorted, _prime_sorted
@@ -50,8 +49,6 @@ class Hyperplane(NamedTuple):
     k: int
 
 
-# typed: hyperplanes(2.0) must reach the check, not the cached tuple of 2.
-@lru_cache(maxsize=None, typed=True)
 def hyperplanes(n):
     """All 2*C(n,2) hyperplanes, ordered lexicographically by (i, j, k)."""
     check_int(n, 2, "n", "the arrangement needs n >= 2")
@@ -223,19 +220,6 @@ def feasible_point(sv):
     for p, a in enumerate(w):
         point[a] = y[p]
     return tuple(point)
-
-
-def satisfies(sv, point):
-    """Directly check that a rational point lies inside the region."""
-    from fractions import Fraction
-
-    if len(point) != sv.n:
-        raise ValueError(f"expected a point with {sv.n} coordinates, got {len(point)}")
-    for hp, s in zip(hyperplanes(sv.n), sv.signs):
-        value = Fraction(point[hp.i - 1]) - Fraction(point[hp.j - 1]) - hp.k
-        if (value <= 0) if s > 0 else (value >= 0):
-            return False
-    return True
 
 
 def base_region(n):

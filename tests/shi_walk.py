@@ -15,8 +15,9 @@ the integer weight c*(n+1) - 1: a simple cycle has at most n edges, so the
 scaled cycle weight is negative exactly when the cycle's constants sum to
 at most 0, which is exactly when the strict system is empty.  One distance
 matrix per region, from ``shi._distances``, gives its walls and its
-boundedness; ``shi.satisfiable`` reads the same matrix for any sign vector.
-All distances are plain ints.
+boundedness.  All distances are plain ints.  The library keeps
+``_distances`` for this walk and for ``shi.satisfiable``, which takes an
+edge list and which only ``bench/tracer.py`` names.
 """
 
 from parkfunc.errors import InvariantError
@@ -30,22 +31,23 @@ from parkfunc.shi import (
 )
 
 
-def _edges(n, signs):
+def _edges(n, signs, hps):
     """The region's difference constraints, one edge (u, v, w) per hyperplane.
 
-    Vertices are 0-based coordinates.  The + side x_i - x_j > k is
-    x_j - x_i < -k, the edge i -> j; the - side x_i - x_j < k is the edge
-    j -> i.  Either way the weight is the scaled constant c*(n+1) - 1.
+    ``hps`` is ``hyperplanes(n)``.  Vertices are 0-based coordinates.  The
+    + side x_i - x_j > k is x_j - x_i < -k, the edge i -> j; the - side
+    x_i - x_j < k is the edge j -> i.  Either way the weight is the scaled
+    constant c*(n+1) - 1.
     """
     scale = n + 1
     return [
         (hp.i - 1, hp.j - 1, -hp.k * scale - 1) if s > 0
         else (hp.j - 1, hp.i - 1, hp.k * scale - 1)
-        for hp, s in zip(hyperplanes(n), signs)
+        for hp, s in zip(hps, signs)
     ]
 
 
-def _walls(n, signs):
+def _walls(n, signs, hps):
     """The nonempty region's walls and whether it is bounded, from one matrix.
 
     Returns ``(walls, bounded)``.  ``walls`` lists the indices of the
@@ -58,7 +60,7 @@ def _walls(n, signs):
     the edge is a wall iff dist[u][v] == w.  ``bounded`` comes from
     ``_strongly_connected`` on the same matrix.
     """
-    edges = _edges(n, signs)
+    edges = _edges(n, signs, hps)
     dist = _distances(n, edges)
     if dist is None:
         raise InvariantError(
@@ -106,7 +108,7 @@ def _walk(n):
         found = {}
         for signs in level:
             label = labels[signs]
-            walls, bounded = _walls(n, signs)
+            walls, bounded = _walls(n, signs, hps)
             yield Region(SignVector(n, signs), label, bounded, depth)
             for idx in walls:
                 key = signs[:idx] + (-signs[idx],) + signs[idx + 1:]

@@ -45,14 +45,6 @@ class TestScores:
     def test_constant_word(self):
         assert scores((2, 2, 2)) == ((0, 2, 4), 1)
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            scores((2, 1, 1))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            scores((1, 2))  # entries must stay within [n-1]
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_score_gap_inequality(self, n):
         # s_i - s_d = (n-1)(i-d) - n(q_i - q_d) is nonnegative, zero only at d.
@@ -88,14 +80,6 @@ class TestDecompose:
         # Brute force over the two candidate shifts picks k=2.
         assert brute_force_shift((2, 2, 2)) == [2]
         assert decompose((2, 2, 2)) == (2, (1, 1, 1))
-
-    def test_rejects_entry_equal_to_n(self):
-        with pytest.raises(ValueError):
-            decompose((1, 2))
-
-    def test_rejects_length_one(self):
-        with pytest.raises(ValueError):
-            decompose((1,))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_exhaustive_roundtrip_prime_unique(self, n):
@@ -209,16 +193,6 @@ class TestRecompose:
 
     def test_inverse_of_constant_decomposition(self):
         assert recompose((1, 1, 1), 2) == (2, 2, 2)
-
-    def test_rejects_bad_shift(self):
-        with pytest.raises(ValueError):
-            recompose((1, 1), 2)
-
-    @pytest.mark.parametrize("k", [True, False, 1.0, "1", None])
-    def test_shift_must_be_an_int(self, k):
-        with pytest.raises(ValueError) as exc:
-            recompose((1, 1, 2), k)
-        assert str(exc.value) == f"shift k must be an integer, got {k!r}"
 
 
 # SHA-256 digests of the outputs over whole input spaces: any change of a

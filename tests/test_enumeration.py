@@ -1,8 +1,6 @@
-import collections
 import gc
 import itertools
 import json
-import math
 import operator
 
 import pytest
@@ -24,9 +22,7 @@ from parkfunc import (
     verify_bijection,
     verify_proposition,
 )
-from parkfunc.core import _parks_sorted, _prime_sorted
 from parkfunc.enumeration import _sorted_words
-from word_oracle import orbit_tally, orbit_weights
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
 PPF_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27, 5: 256}
@@ -80,20 +76,6 @@ def test_bijection_image_counts():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_proposition(n):
     assert verify_proposition(n)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: count_parking_functions(11),
-        lambda: count_prime_parking_functions(12),
-        lambda: verify_bijection(9),
-        lambda: verify_proposition(10),
-    ],
-)
-def test_guard_ranges(call):
-    with pytest.raises(GuardRangeError):
-        call()
 
 
 def test_guard_is_overridable():
@@ -150,12 +132,6 @@ def test_bijection_agrees_with_word_scan(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_proposition_agrees_with_word_scan(n):
     expected = word_oracle.verify_proposition(n, force=True)
-    assert verify_proposition(n) is expected is True
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_proposition_tables_agree_with_the_mask_automaton(n):
-    expected = word_oracle.verify_proposition_by_masks(n)
     assert verify_proposition(n) is expected is True
 
 
@@ -244,24 +220,6 @@ def _flipped_on(kernel, q):
 
 def _pick(reps, place):
     return {"first": reps[0], "middle": reps[len(reps) // 2], "last": reps[-1]}[place]
-
-
-# The family of each count: its kernel on sorted words, the labels it runs
-# over, and its closed form.
-FAMILIES = {
-    "parking": (_parks_sorted, lambda n: n, lambda n: (n + 1) ** (n - 1)),
-    "prime": (_prime_sorted, lambda n: n - 1, lambda n: (n - 1) ** (n - 1)),
-}
-
-
-@pytest.mark.parametrize("place", ["first", "middle", "last"])
-@pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_one_flipped_orbit_fails_the_count(family, n, place):
-    # The reference tally must see a kernel wrong on a single orbit.
-    kernel, labels, formula = FAMILIES[family]
-    q = _pick(list(_sorted_words(labels(n), n)), place)
-    assert orbit_tally(_flipped_on(kernel, q), labels(n), n)[1] != formula(n), q
 
 
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
@@ -354,9 +312,8 @@ def test_a_free_spot_read_as_dead_fails_where_a_word_reads_it(monkeypatch, n):
 @pytest.mark.parametrize("length", range(1, 6))
 @pytest.mark.parametrize("max_label", range(1, 6))
 def test_orbits_count_the_sorted_words(max_label, length):
-    sizes = collections.Counter(tuple(sorted(w)) for w in all_words(max_label, length))
-    orbits = zip(_sorted_words(max_label, length), orbit_weights(max_label, length))
-    assert list(orbits) == sorted(sizes.items())
+    orbits = {tuple(sorted(w)) for w in all_words(max_label, length)}
+    assert list(_sorted_words(max_label, length)) == sorted(orbits)
 
 
 def _not_order_invariant(fn, words):
@@ -396,64 +353,19 @@ def test_equivariance_check_catches_a_decompose_wrong_off_sorted_words():
     assert _not_equivariant(wrong, 3) == (1, 2, 1)
 
 
-# The reference orbit weight table against its definition.
-
-
-@pytest.mark.parametrize("length", range(1, 9))
-@pytest.mark.parametrize("max_label", range(1, 9))
-def test_weights_match_the_multinomial(max_label, length):
-    fact = [math.factorial(i) for i in range(length + 1)]
-    expected = []
-    for q in itertools.combinations_with_replacement(range(1, max_label + 1), length):
-        runs = 1
-        for x in set(q):
-            runs *= fact[q.count(x)]
-        expected.append(fact[length] // runs)
-    assert orbit_weights(max_label, length) == expected
-
-
-@pytest.mark.parametrize("n", [3, 5, 7])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_a_short_weight_table_fails_the_count(monkeypatch, family, n):
-    kernel, labels, _ = FAMILIES[family]
-    monkeypatch.setattr(word_oracle, "orbit_weights", lambda m, l: orbit_weights(m, l)[:-1])
-    with pytest.raises(InvariantError):
-        orbit_tally(kernel, labels(n), n)
-
-
-@pytest.mark.parametrize("n", [4, 5, 6])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_swapped_adjacent_weights_fail_the_count(monkeypatch, family, n):
-    # Swapping keeps the table's length and sum; it must still move the count
-    # wherever the two sorted words get different verdicts.
-    kernel, labels, formula = FAMILIES[family]
-    verdicts = list(map(kernel, _sorted_words(labels(n), n)))
-    weights = orbit_weights(labels(n), n)
-    swaps = [i for i in range(len(weights) - 1)
-             if weights[i] != weights[i + 1] and verdicts[i] != verdicts[i + 1]]
-    assert swaps
-    for i in swaps:
-        swapped = list(weights)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        monkeypatch.setattr(word_oracle, "orbit_weights", lambda m, l: list(swapped))
-        assert orbit_tally(kernel, labels(n), n)[1] != formula(n), i
-
-
-# The label recurrence against the reference tally, and its mutants.
+# The label recurrence against the closed forms, and its mutants.
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-@pytest.mark.parametrize("count,family", [
-    (count_parking_functions, "parking"),
-    (count_prime_parking_functions, "prime"),
-])
-def test_recurrence_matches_the_reference_tally(count, family, n):
-    kernel, labels, _ = FAMILIES[family]
+@pytest.mark.parametrize("count,labels,formula", [
+    (count_parking_functions, lambda n: n, lambda n: (n + 1) ** (n - 1)),
+    (count_prime_parking_functions, lambda n: n - 1, lambda n: (n - 1) ** (n - 1)),
+], ids=["parking", "prime"])
+def test_recurrence_matches_the_closed_forms(count, labels, formula, n):
     report = count(n)
-    if labels(n) == 0:  # the prime count's n = 1 convention: the word (1,)
-        assert (report.total_words, report.matching) == (1, 1)
-    else:
-        assert (report.total_words, report.matching) == orbit_tally(kernel, labels(n), n)
+    # The prime count's n = 1 convention scans the word (1,), not [0]^1.
+    total = labels(n) ** n if labels(n) else 1
+    assert (report.total_words, report.matching) == (total, formula(n))
     assert report.agrees
 
 
@@ -461,11 +373,10 @@ def test_recurrence_matches_the_reference_tally(count, family, n):
 @pytest.mark.parametrize("max_label", range(1, 5))
 def test_recurrence_counts_the_words_under_any_bound(max_label, length):
     # Every nondecreasing bound vector, not only the two streets the
-    # library passes: the words whose sorted q lies under it, by orbit.
-    weights = orbit_weights(max_label, length)
+    # library passes: the words whose sorted q lies under it, word by word.
+    qs = [sorted(w) for w in all_words(max_label, length)]
     for bounds in _sorted_words(max_label, length):
-        expected = sum(w for q, w in zip(_sorted_words(max_label, length), weights)
-                       if all(map(operator.le, q, bounds)))
+        expected = sum(all(map(operator.le, q, bounds)) for q in qs)
         got = parkfunc.enumeration._count_under(max_label, bounds)
         assert got == (max_label**length, expected), bounds
 

@@ -63,6 +63,8 @@ ROWS = [
      "preference 4 does not appear on the street"),
     ("scores-range", lambda: scores((1, 1, 3)),
      "word entry 3 exceeds the allowed maximum label 2"),
+    ("scores-range-n2", lambda: scores((1, 2)),
+     "word entry 2 exceeds the allowed maximum label 1"),
     ("decompose-range", lambda: decompose((1, 3, 1)),
      "word entry 3 exceeds the allowed maximum label 2"),
     ("recompose-range", lambda: recompose((1, 3, 1), 1),
@@ -72,10 +74,17 @@ ROWS = [
     # a bad k
     ("recompose-k-zero", lambda: recompose((1, 2, 1), 0), "shift k must lie in [1, 2], got 0"),
     ("recompose-k-high", lambda: recompose((1, 2, 1), 3), "shift k must lie in [1, 2], got 3"),
+    ("recompose-k-n2", lambda: recompose((1, 1), 2), "shift k must lie in [1, 1], got 2"),
     ("recompose-k-bool", lambda: recompose((1, 2, 1), True),
      "shift k must be an integer, got True"),
     ("recompose-k-float", lambda: recompose((1, 2, 1), 1.0),
      "shift k must be an integer, got 1.0"),
+    ("recompose-k-false", lambda: recompose((1, 2, 1), False),
+     "shift k must be an integer, got False"),
+    ("recompose-k-str", lambda: recompose((1, 2, 1), "1"),
+     "shift k must be an integer, got '1'"),
+    ("recompose-k-none", lambda: recompose((1, 2, 1), None),
+     "shift k must be an integer, got None"),
     # the street of simulate
     ("street-not-iterable", lambda: simulate((1, 1), 7), "street must be a sequence of integers"),
     ("street-bool", lambda: simulate((1, 1), (1, False)),

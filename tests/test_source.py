@@ -1,4 +1,4 @@
-"""Source-level rules for the library modules."""
+"""Source-level rules for the library modules and the test references."""
 
 import ast
 import re
@@ -11,7 +11,8 @@ from parkfunc import (
     enumerate_regions, verify_bijection, verify_pak_stanley, verify_proposition,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "parkfunc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "parkfunc"
 
 
 def test_no_bare_assert_in_the_library():
@@ -28,10 +29,10 @@ def test_no_bare_assert_in_the_library():
     assert found == []
 
 
-def _library_trees():
-    """Module name -> parsed source, for each library module."""
+def _trees(folder):
+    """Module name -> parsed source, for each module in folder."""
     return {path.stem: ast.parse(path.read_text(), str(path))
-            for path in sorted(SRC.glob("*.py"))}
+            for path in sorted(folder.glob("*.py"))}
 
 
 def _private_defs(tree):
@@ -59,13 +60,10 @@ def _referenced_names(tree, skip):
     return names
 
 
-KEPT_UNREFERENCED = set()
-
-
 def test_every_private_helper_has_a_caller_in_the_library():
     # A helper left behind by a deleted path is dead code; a reference from
     # inside its own body (recursion) does not count.
-    trees = _library_trees()
+    trees = _trees(SRC)
     orphans = set()
     for module, tree in trees.items():
         for node in _private_defs(tree):
@@ -73,7 +71,20 @@ def test_every_private_helper_has_a_caller_in_the_library():
                        for other in trees.values())
             if not used:
                 orphans.add(f"{module}.{node.name}")
-    assert orphans == KEPT_UNREFERENCED
+    assert orphans == set()
+
+
+@pytest.mark.parametrize("module", ["word_oracle", "shi_walk"])
+def test_every_reference_def_has_a_reader_in_the_tests(module):
+    # A reference whose tests were deleted is dead code too: each top-level
+    # def must be read by another tests module or by another def of its own.
+    trees = _trees(TESTS)
+    orphans = {
+        node.name for node in trees[module].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in _referenced_names(tree, node) for tree in trees.values())
+    }
+    assert orphans == set()
 
 
 def _binds_only(node):
@@ -105,7 +116,7 @@ def test_module_bodies_do_no_work_at_import():
     # is paid for by callers that never read it; build it inside the call.
     work = [
         f"{module}.py:{node.lineno}"
-        for module, tree in _library_trees().items()
+        for module, tree in _trees(SRC).items()
         for node in tree.body[ast.get_docstring(tree) is not None:]
         if not _binds_only(node)
     ]
@@ -122,7 +133,7 @@ def test_the_library_imports_only_the_pinned_stdlib_modules():
     # A new import adds to every command's start-up, so it is a decision to
     # record here, not a side effect of a change.
     found = set()
-    for tree in _library_trees().values():
+    for tree in _trees(SRC).values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 found.update(alias.name.split(".")[0] for alias in node.names)

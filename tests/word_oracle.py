@@ -1,20 +1,14 @@
 """Word-by-word oracles: the ground truth for ``parkfunc.enumeration``.
 
 Each scan applies the public predicates, ``simulate`` and ``decompose`` to
-every word of its space, with no use of the orbit reduction that the library
-oracles rest on.  ``tests/test_enumeration.py`` checks that the library
-returns the same answers for every n these scans reach at desk speed.
-
-Above that, the library counts are held to ``orbit_tally``: one kernel call
-per sorted word, weighted by its orbit size from ``orbit_weights``.  The
-closed-form shift of ``decompose`` is held to ``decompose_by_scores``, which
-takes the minimal entry of the score vector, and the transition tables of
-``verify_proposition`` to ``verify_proposition_by_masks``, which parks each
-car bit by bit.
+every word of its space, with no use of the orbit reduction or the label
+recurrence that the library oracles rest on.  ``tests/test_enumeration.py``
+checks that the library returns the same answers for every n these scans
+reach at desk speed; above that, the library counts are held to their
+closed forms.  The closed-form shift of ``decompose`` is held to
+``decompose_by_scores``, which takes the minimal entry of the score vector.
 """
 
-import itertools
-import math
 import operator
 import time
 
@@ -28,61 +22,9 @@ from parkfunc import (
     rotated_street,
     simulate,
 )
-from parkfunc.core import _first_positions, _prime_sorted
+from parkfunc.core import _prime_sorted
 from parkfunc.cycle_lemma import Decomposition, _shift_table, scores
-from parkfunc.enumeration import _sorted_words
 from parkfunc.errors import InvariantError, check_guard
-
-
-def orbit_weights(max_label, length):
-    """The orbit sizes of [max_label]^length, one per nondecreasing word.
-
-    A sorted word's orbit has length! / prod(mult!) words, over the
-    multiplicities of its entries.  The sizes come in the order
-    ``itertools.combinations_with_replacement`` yields the sorted words.
-    The table is built over the labels from the largest down: ``tail[left]``
-    holds prod(mult!) for every sorted word of ``left`` entries over the
-    labels taken so far, in that order, and each new (smaller) label is
-    prepended c = left, ..., 0 times, which keeps the order.
-    """
-    fact = [math.factorial(c) for c in range(length + 1)]
-    tail = [[1]] + [[] for _ in range(length)]  # no labels yet: only the empty word
-    for _ in range(max_label):
-        grown = []
-        for left in range(length + 1):
-            row = []
-            for c in range(left, -1, -1):
-                f = fact[c]
-                row += [f * p for p in tail[left - c]] if f > 1 else tail[left - c]
-            grown.append(row)
-        tail = grown
-    full = fact[length]
-    return [full // p for p in tail[length]]
-
-
-def orbit_tally(kernel, max_label, length):
-    """(words, matching words) of [max_label]^length, one kernel call per orbit.
-
-    Both sums run in C over the weight table: ``compress`` keeps the weights
-    of the sorted words the kernel accepts.  It stops at the shorter input,
-    so the table's length is checked against C(max_label + length - 1,
-    length), the number of sorted words, as well as its sum.
-    """
-    weights = orbit_weights(max_label, length)
-    orbits = math.comb(max_label + length - 1, length)
-    if len(weights) != orbits:
-        raise InvariantError(
-            f"{len(weights)} orbit sizes for the {orbits} sorted words "
-            f"of [{max_label}]^{length}"
-        )
-    total = sum(weights)
-    if total != max_label**length:
-        raise InvariantError(
-            f"orbit sizes add up to {total}, not {max_label}^{length}"
-        )
-    words = itertools.combinations_with_replacement(range(1, max_label + 1), length)
-    matching = sum(itertools.compress(weights, map(kernel, words)))
-    return total, matching
 
 
 def count_parking_functions(n, force=False):
@@ -200,41 +142,3 @@ def decompose_by_scores(word):
     if not _prime_sorted(operator.itemgetter(*q[i:], *q[:i])(table)):
         raise InvariantError(f"decompose({word}) produced the non-prime word {b}")
     return Decomposition(k, b)
-
-
-def verify_proposition_by_masks(n, force=False):
-    """``verify_proposition`` on the same (masks, code) pairs, parking bit by bit.
-
-    Each street's state is its occupied-spot mask, or None once a car has
-    left it, and each car takes the lowest free bit at or after the first
-    spot its label sits on; no transition table is built.
-    """
-    check_guard("verify_proposition", n, 2, 9, force)
-    m = n - 1
-    steps = [(n + 1) ** (p - 1) for p in range(1, n)]
-    step_of = [None, *steps]
-    shift_of = {
-        sum(map(step_of.__getitem__, q)): decompose(q).k for q in _sorted_words(m, n)
-    }
-    full = (1 << n) - 1
-    first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]
-    # ahead[p - 1][s]: the spots of street s at or after the first labelled p.
-    ahead = [[full & -(1 << fp[p]) for fp in first] for p in range(1, n)]
-    pairs = {((0,) * m, 0)}
-    for _ in range(n):
-        after = set()
-        for masks, code in pairs:
-            for spots, step in zip(ahead, steps):
-                parked = []
-                for mask, reach in zip(masks, spots):
-                    if mask is not None:
-                        free = reach & ~mask
-                        mask = mask | (free & -free) if free else None
-                    parked.append(mask)
-                after.add((tuple(parked), code + step))
-        pairs = after
-    for masks, code in pairs:
-        live = [k for k, mask in enumerate(masks, start=1) if mask is not None]
-        if live != [shift_of[code]]:
-            return False
-    return True
