@@ -215,6 +215,21 @@ class TestCheck:
         code, out, _ = invoke(capsys, "check", "--word", "1,1", "--prime")
         assert (code, out) == (0, "true\n")
 
+    def test_false_exits_one(self, capsys):
+        code, out, _ = invoke(capsys, "check", "--word", "2,2")
+        assert (code, out) == (1, "false\n")
+
+    def test_domain_error_exits_two(self, capsys):
+        code, _, err = invoke(capsys, "check", "--word", "1,5,1")
+        assert code == 2
+        assert "error" in err
+
+    def test_non_decimal_digit_is_a_bad_entry(self, capsys):
+        # '²'.isdigit() is true, but int() rejects it.
+        code, _, err = invoke(capsys, "check", "--word", "1,²")
+        assert code == 2
+        assert err.startswith("error: bad word entry '²'")
+
     def test_json_record(self, capsys):
         code, out, _ = invoke(capsys, "check", "--word", "1,1", "--json")
         record = json.loads(out)
@@ -242,6 +257,10 @@ class TestDecomposeRecompose:
         )
         assert (code, out) == (0, WORD15_ARG + "\n")
 
+    def test_decompose_domain_error(self, capsys):
+        code, _, _ = invoke(capsys, "decompose", "--word", "1,2")
+        assert code == 2
+
 
 class TestSimulate:
     def test_failure_exit_and_message(self, capsys):
@@ -256,11 +275,30 @@ class TestSimulate:
         assert record["failed_car"] == 2
         assert record["assignment"] is None
 
+    def test_rotated_requires_k(self, capsys):
+        code, _, _ = invoke(capsys, "simulate", "--word", "1,1",
+                            "--street", "rotated")
+        assert code == 2
+
+    def test_k_rejected_elsewhere(self, capsys):
+        code, _, _ = invoke(capsys, "simulate", "--word", "1,1", "--k", "1")
+        assert code == 2
+
     def test_success_json_assignment(self, capsys):
         _, out, _ = invoke(capsys, "simulate", "--word", WORD15_ARG, "--json")
         record = json.loads(out)
         assert tuple(record["assignment"]) == CARS_STANDARD15
         assert record["labels"] == list(range(1, 16))
+
+
+class TestStrip:
+    def test_strip(self, capsys):
+        code, out, _ = invoke(capsys, "strip", "--word", "2,1,1")
+        assert (code, out) == (0, "2,1\n")
+
+    def test_strip_without_one(self, capsys):
+        code, _, _ = invoke(capsys, "strip", "--word", "2,2")
+        assert code == 2
 
 
 class TestCount:

@@ -18,6 +18,7 @@ from parkfunc import (
     sorted_rearrangement,
 )
 from parkfunc.cycle_lemma import _recompose, _shift_table
+from parkfunc.enumeration import _sorted_words
 from conftest import PRIME15, SHIFT15, WORD15, run_python
 from word_oracle import decompose_by_scores
 
@@ -44,6 +45,14 @@ class TestScores:
 
     def test_constant_word(self):
         assert scores((2, 2, 2)) == ((0, 2, 4), 1)
+
+    def test_rejects_unsorted(self):
+        with pytest.raises(ValueError):
+            scores((2, 1, 1))
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            scores((1, 2))  # entries must stay within [n-1]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_score_gap_inequality(self, n):
@@ -81,6 +90,14 @@ class TestDecompose:
         assert brute_force_shift((2, 2, 2)) == [2]
         assert decompose((2, 2, 2)) == (2, (1, 1, 1))
 
+    def test_rejects_entry_equal_to_n(self):
+        with pytest.raises(ValueError):
+            decompose((1, 2))
+
+    def test_rejects_length_one(self):
+        with pytest.raises(ValueError):
+            decompose((1,))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_exhaustive_roundtrip_prime_unique(self, n):
         for a in all_words(n - 1, n):
@@ -88,6 +105,13 @@ class TestDecompose:
             assert is_prime_parking_function(b)
             assert recompose(b, k) == a
             assert brute_force_shift(a) == [k]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_each_sorted_word_has_one_prime_shift(self, n):
+        # decompose is equivariant, so one word per orbit carries the
+        # uniqueness past the exhaustive round trip.
+        for q in _sorted_words(n - 1, n):
+            assert brute_force_shift(q) == [decompose(q).k], q
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_fixed_point_on_primes(self, n):
@@ -193,6 +217,10 @@ class TestRecompose:
 
     def test_inverse_of_constant_decomposition(self):
         assert recompose((1, 1, 1), 2) == (2, 2, 2)
+
+    def test_rejects_bad_shift(self):
+        with pytest.raises(ValueError):
+            recompose((1, 1), 2)
 
 
 # SHA-256 digests of the outputs over whole input spaces: any change of a

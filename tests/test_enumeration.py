@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import operator
 
 import pytest
@@ -19,9 +20,11 @@ from parkfunc import (
     is_parking_function,
     is_prime_parking_function,
     rotated_street,
+    simulate,
     verify_bijection,
     verify_proposition,
 )
+from parkfunc.core import _parks_sorted, _prime_sorted
 from parkfunc.enumeration import _sorted_words
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
@@ -76,6 +79,20 @@ def test_bijection_image_counts():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_proposition(n):
     assert verify_proposition(n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_parking_functions(11),
+        lambda: count_prime_parking_functions(12),
+        lambda: verify_bijection(9),
+        lambda: verify_proposition(10),
+    ],
+)
+def test_guard_ranges(call):
+    with pytest.raises(GuardRangeError):
+        call()
 
 
 def test_guard_is_overridable():
@@ -133,6 +150,16 @@ def test_bijection_agrees_with_word_scan(n):
 def test_proposition_agrees_with_word_scan(n):
     expected = word_oracle.verify_proposition(n, force=True)
     assert verify_proposition(n) is expected is True
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_each_sorted_word_parks_on_its_shift_street_alone(n):
+    # The proposition on one word per orbit, parked car by car by simulate
+    # rather than through verify_proposition's tables, past the word scan.
+    streets = [rotated_street(n, k) for k in range(1, n)]
+    for q in _sorted_words(n - 1, n):
+        parks = [k for k, street in enumerate(streets, start=1) if simulate(q, street).success]
+        assert parks == [decompose(q).k], q
 
 
 def _shift_moved(decompose):
@@ -223,7 +250,7 @@ def _pick(reps, place):
 
 
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_one_flipped_prime_orbit_fails_the_bijection(monkeypatch, n, place):
     # Both directions: a prime orbit read as non-prime, and a non-prime orbit
     # read as prime, which only the final coverage equality can catch.
@@ -379,6 +406,45 @@ def test_recurrence_counts_the_words_under_any_bound(max_label, length):
         expected = sum(all(map(operator.le, q, bounds)) for q in qs)
         got = parkfunc.enumeration._count_under(max_label, bounds)
         assert got == (max_label**length, expected), bounds
+
+
+def _orbit_size(q):
+    """How many words sort to q: len(q)! over the factorial of each multiplicity."""
+    size = math.factorial(len(q))
+    for x in set(q):
+        size //= math.factorial(q.count(x))
+    return size
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+@pytest.mark.parametrize("max_label", range(1, 9))
+def test_recurrence_weighs_each_sorted_word_by_its_orbit(max_label, length):
+    # Past the word scans: the words under both streets' bounds, as the sum
+    # of the orbit sizes of the sorted words under them.
+    for bounds in [tuple(range(1, length + 1)), (1, *range(1, length))]:
+        expected = sum(_orbit_size(q) for q in _sorted_words(max_label, length)
+                       if all(map(operator.le, q, bounds)))
+        got = parkfunc.enumeration._count_under(max_label, bounds)
+        assert got == (max_label**length, expected), bounds
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("count,kernel", [
+    (count_parking_functions, _parks_sorted),
+    (count_prime_parking_functions, _prime_sorted),
+], ids=["parking", "prime"])
+def test_the_count_bounds_each_sorted_word_as_its_predicate_does(monkeypatch, count,
+                                                                 kernel, n):
+    # Two wrong orbits can cancel in a count: each sorted word must lie under
+    # the bounds the count hands the recurrence exactly when its kernel accepts it.
+    real = parkfunc.enumeration._count_under
+    seen = []
+    monkeypatch.setattr(parkfunc.enumeration, "_count_under",
+                        lambda m, bounds: seen.append((m, bounds)) or real(m, bounds))
+    assert count(n).agrees
+    [(max_label, bounds)] = seen
+    for q in _sorted_words(max_label, n):
+        assert all(map(operator.le, q, bounds)) == kernel(q), q
 
 
 def _off_by_one(bounds, max_label):

@@ -7,6 +7,7 @@ import pytest
 
 import shi_walk
 from parkfunc import (
+    GuardRangeError,
     InvariantError,
     SignVector,
     all_words,
@@ -319,6 +320,13 @@ class TestRegions:
         keys = [(r.bfs_depth, r.sign_vector.as_string()) for r in enumerate_regions(n)]
         assert keys == sorted(set(keys))
 
+    def test_deterministic_output_order(self):
+        first = [r.sign_vector.as_string() for r in enumerate_regions(3)]
+        second = [r.sign_vector.as_string() for r in enumerate_regions(3)]
+        assert first == second
+        depths = [r.bfs_depth for r in enumerate_regions(3)]
+        assert depths == sorted(depths)
+
     def test_one_distance_matrix_per_region(self, monkeypatch):
         calls = {"_edges": 0, "_distances": 0}
         for name in calls:
@@ -360,9 +368,28 @@ class TestRegions:
         with pytest.raises(InvariantError, match=r"empty region \+- \(n=2\)"):
             list(shi_walk._walk(2))
 
+    def test_guard(self):
+        with pytest.raises(GuardRangeError):
+            enumerate_regions(7)
+        with pytest.raises(GuardRangeError):
+            verify_pak_stanley(7)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_regions_equal_the_walk(self, n):
         assert enumerate_regions(n) == list(shi_walk._walk(n))
+
+    def test_regions_build_no_distance_matrix(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("enumerate_regions built a distance matrix")
+
+        monkeypatch.setattr(shi, "_distances", refuse)
+        assert len(enumerate_regions(4)) == 125
+
+    def test_regions_guard(self):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            enumerate_regions(1)
+        with pytest.raises(GuardRangeError):
+            enumerate_regions(7)
 
 
 class TestBoundedness:
