@@ -131,7 +131,7 @@ def _cmd_count(args):
             f"agrees={str(report.agrees).lower()}"
         )
 
-    _emit(args, text, {"prime": args.prime, **report.as_dict()})
+    _emit(args, text, {"prime": args.prime, **report._asdict()})
     return 0 if report.agrees else 1
 
 
@@ -153,6 +153,10 @@ def _cmd_verify(args):
 def _cmd_sample(args):
     if args.count < 1:
         raise ValueError("--count must be at least 1")
+    # Text mode holds one word at a time; --json holds every word until it prints.
+    held = args.n * args.count if args.json else args.n
+    if held > 10**6:
+        raise GuardRangeError(f"sample is guarded to 1000000 word entries at once (got {held})")
     seed = args.seed
     if seed is None:
         if args.json:

@@ -148,8 +148,3 @@ def sample_primes(n, seed, count):
     """The first `count` words of ``iter_primes(n, seed)``, as a list."""
     check_int(count, 0, "count", "count must be nonnegative")
     return list(itertools.islice(iter_primes(n, seed), count))
-
-
-def sample_prime(n, seed):
-    """A single uniform prime parking function of length n (seeded)."""
-    return sample_primes(n, seed, 1)[0]

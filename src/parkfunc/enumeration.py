@@ -94,7 +94,7 @@ def _count_under(max_label, bounds):
 
 
 class CountReport(NamedTuple):
-    """Tally of an exhaustive count against a closed-form value."""
+    """The size of one family in its word space, against the closed form."""
 
     n: int
     total_words: int
@@ -102,9 +102,6 @@ class CountReport(NamedTuple):
     formula_value: int
     agrees: bool
     elapsed: float
-
-    def as_dict(self):
-        return self._asdict()
 
 
 def _report(n, formula, tally):
@@ -157,8 +154,7 @@ def verify_bijection(n, force=False):
     table per shift built in the call), sorted(b) prime,
     recompose(b, k) == a, and a pair (k, sorted(b)) not seen before.  The
     pairs are then distinct and lie in [m] x (prime sorted words), so they
-    cover it exactly when there are m * |primes| of them.  No orbit size or
-    prime-shift table is read.
+    cover it exactly when there are m * |primes| of them.
 
     Why this is exact.  down_kk is a bijection of [m], so a and
     sorted(b) = sorted(down_k(a)) have the same multiplicities and their

@@ -2,11 +2,11 @@
 
 
 class GuardRangeError(ValueError):
-    """An exhaustive operation was asked to run above its guarded range.
+    """An operation was asked to run above its guarded range.
 
-    The brute-force oracles scan exponentially many words, so each one caps
-    `n` at a desk-scale default.  Callers that really want a larger run can
-    pass ``force=True`` to the operation in question.
+    Each exhaustive operation caps `n` at a desk-scale default, which a
+    library caller can lift with ``force=True``.  The CLI's ``sample`` caps
+    the word entries it holds at once at 10^6, with no override.
     """
 
 

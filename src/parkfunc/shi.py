@@ -74,7 +74,7 @@ class SignVector(_SignFields):
 
     ``signs[h]`` is +1 when the region lies on the x_i - x_j > k side of the
     h-th hyperplane of ``hyperplanes(n)`` and -1 otherwise.  Construction
-    checks both fields; like ``_unchecked``, ``_make`` and ``_replace`` do not.
+    checks both fields; ``_make`` and ``_replace`` do not.
     """
 
     __slots__ = ()
@@ -89,11 +89,6 @@ class SignVector(_SignFields):
         # Compared by value, 1.0 and True would pass as 1; the types keep them out.
         if not set(signs) <= {1, -1} or not set(map(type, signs)) <= {int}:
             raise ValueError("signs must be the ints +1 or -1")
-        return tuple.__new__(cls, (n, signs))
-
-    @classmethod
-    def _unchecked(cls, n, signs):
-        """The sign vector of a tuple of n*(n-1) ints +1 or -1, not checked."""
         return tuple.__new__(cls, (n, signs))
 
     def as_string(self):
@@ -148,17 +143,12 @@ def _decode(n, signs):
 
     Coordinates and positions are 0-based; ``w[p]`` is the coordinate at
     position p, and ``m[p]`` the smallest q with (p, q) in the canonical
-    up-set U, or n.  Three rules decide whether the signs give a region:
-
-    - the k=0 signs order the coordinates, which they do iff the counts
-      above[a] = #{b : x_b > x_a} are a permutation of 0..n-1; a is then
-      at position above[a];
-    - an inversion's k=1 sign is -, since x_i < x_j < x_j + 1 there;
-    - the non-inversions with a + k=1 sign form a set S, which must hold
-      every non-inversion of its up-closure U: y_p - y_q > 1 on S forces
-      it on every (p', q') with p' <= p < q <= q'.
-
-    U's row p starts at the smallest q with (p', q) in S for some p' >= p.
+    up-set U, or n.  The k=0 signs order the coordinates iff the counts
+    above[a] = #{b : x_b > x_a} are a permutation of 0..n-1; a is then at
+    position above[a].  U is the up-closure of the non-inversions whose k=1
+    sign is +: y_p - y_q > 1 forces it on every (p', q') with
+    p' <= p < q <= q'.  The signs give a region iff each k=1 sign is the one
+    ``_regions`` gives (w, U): + iff the pair is a non-inversion in U.
     O(n^2); n is not checked.
     """
     pairs = list(itertools.combinations(range(n), 2))
@@ -173,16 +163,13 @@ def _decode(n, signs):
         w[p] = a
     m = [n] * n
     for (i, j), s, t in zip(pairs, order, apart):
-        if s > 0:
-            if t > 0 and above[j] < m[above[i]]:
-                m[above[i]] = above[j]
-        elif t > 0:
-            return None
+        if s > 0 and t > 0 and above[j] < m[above[i]]:
+            m[above[i]] = above[j]
     for p in range(n - 2, -1, -1):
         if m[p + 1] < m[p]:
             m[p] = m[p + 1]
     for (i, j), s, t in zip(pairs, order, apart):
-        if s > 0 and t < 0 and above[j] >= m[above[i]]:
+        if (t > 0) != (s > 0 and m[above[i]] <= above[j]):
             return None
     return w, m
 
@@ -334,7 +321,7 @@ def _regions(n):
                     signs[idx] = 1
                     label[j] += 1
             yield Region(
-                SignVector._unchecked(n, tuple(signs)), tuple(label), _spanned(w, m),
+                SignVector._make((n, tuple(signs))), tuple(label), _spanned(w, m),
                 sum(label) - n,
             )
 
@@ -346,8 +333,8 @@ def enumerate_regions(n, force=False):
     no distance matrix, then sorted into the order of the wall-crossing walk
     in ``tests/shi_walk.py``: level by level, each level by sign string.  On
     a shared 2-core Intel Xeon with Python 3.11.7, over repeated runs, it took
-    0.57-0.93 ms at n=4, 6.9-11 ms at n=5 and 0.15-0.20 s at n=6, under a
-    fifth of the walk's time.  Guarded to n <= 6; a forced n=7 took 3.8-3.9 s.
+    0.56-1.4 ms at n=4, 7.1-11 ms at n=5 and 0.12-0.22 s at n=6.  Guarded to
+    n <= 6; a forced n=7 took 2.8 s, in a process that peaked at 202 MB.
     """
     check_guard("enumerate_regions", n, 2, 6, force)
     # '+' sorts before '-', so ascending sign strings are descending sign

@@ -138,6 +138,8 @@ TRANSCRIPTS = [
     (('sample', '--n', '4', '--seed', '1', '--count', '0', '--json'), 2, '', 'error: --count must be at least 1\n'),
     (('sample', '--n', '4', '--json'), 2, '', 'error: --seed is required with --json for reproducibility\n'),
     (('sample', '--n', '1', '--seed', '1', '--json'), 2, '', 'error: sampling needs n >= 2\n'),
+    (('sample', '--n', '1000001'), 3, '', 'error: sample is guarded to 1000000 word entries at once (got 1000001)\n'),
+    (('sample', '--n', '8', '--seed', '1', '--count', '125001', '--json'), 3, '', 'error: sample is guarded to 1000000 word entries at once (got 1000008)\n'),
     (('verify', '--what', 'bijection', '--n', '9', '--json'), 3, '', 'error: verify_bijection is guarded to n <= 8 (got n=9)\n'),
 ]
 

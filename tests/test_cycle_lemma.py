@@ -12,7 +12,6 @@ from parkfunc import (
     is_prime_parking_function,
     iter_primes,
     recompose,
-    sample_prime,
     sample_primes,
     scores,
     sorted_rearrangement,
@@ -292,15 +291,15 @@ class TestSampler:
 
     @pytest.mark.parametrize("seed", [None, 7, True, 2.5, "seven", b"7", bytearray(b"7")])
     def test_every_seed_type_random_takes_still_samples(self, seed):
-        assert is_prime_parking_function(sample_prime(4, seed))
+        assert is_prime_parking_function(sample_primes(4, seed, 1)[0])
 
     def test_length_two_is_constant(self):
         for seed in range(5):
-            assert sample_prime(2, seed) == (1, 1)
+            assert sample_primes(2, seed, 1)[0] == (1, 1)
 
     def test_deterministic_under_seed(self):
         assert sample_primes(5, 1234, 20) == sample_primes(5, 1234, 20)
-        assert sample_prime(5, 99) == sample_prime(5, 99)
+        assert sample_primes(5, 99, 1)[0] == sample_primes(5, 99, 1)[0]
 
     def test_sample_is_the_head_of_the_stream(self):
         stream = iter_primes(5, 1234)

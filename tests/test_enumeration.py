@@ -54,7 +54,7 @@ def test_count_prime_parking_functions(n, expected):
 
 def test_report_serializes(capsys):
     # In field order: `parkfunc count --json` writes its keys in this order.
-    record = count_parking_functions(3).as_dict()
+    record = count_parking_functions(3)._asdict()
     assert list(record) == [
         "n", "total_words", "matching", "formula_value", "agrees", "elapsed",
     ]
@@ -126,11 +126,11 @@ def test_n_must_be_an_int(oracle, n):
     assert str(exc.value) == f"{oracle.__name__} needs an integer n (got n={n!r})"
 
 
-# The orbit oracles against the word-by-word scans in word_oracle.py.
+# The library oracles against the word-by-word scans in word_oracle.py.
 
 
 def _tally(report):
-    return {k: v for k, v in report.as_dict().items() if k != "elapsed"}
+    return {k: v for k, v in report._asdict().items() if k != "elapsed"}
 
 
 @pytest.mark.parametrize("n", range(1, 8))

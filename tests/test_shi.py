@@ -202,8 +202,9 @@ class TestFeasibility:
 
 
 class TestDecoder:
-    # Each n=3 vector breaks one of _decode's three rules and passes the
-    # other two.  The signs go by pair, (1,2), (1,3), (2,3), k=0 then k=1.
+    # Each n=3 vector breaks one condition of a region and meets the other
+    # two; _decode's one k=1 rule catches the second and the third.  The
+    # signs go by pair, (1,2), (1,3), (2,3), k=0 then k=1.
     @pytest.mark.parametrize("text", [
         "+---+-",  # x_1 > x_2 > x_3 > x_1: the k=0 signs order nothing
         "-++-+-",  # x_2 > x_1, yet x_1 - x_2 > 1

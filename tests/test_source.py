@@ -45,7 +45,10 @@ def _private_defs(tree):
 
 
 def _referenced_names(tree, skip):
-    """The names read as an ast.Name or ast.Attribute in tree, outside ``skip``."""
+    """The names read as an ast.Name or ast.Attribute in tree, outside ``skip``.
+
+    An attribute read on a plain name, ``a.b``, also adds "a.b".
+    """
     names = set()
     stack = [tree]
     while stack:
@@ -56,6 +59,8 @@ def _referenced_names(tree, skip):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add(f"{node.value.id}.{node.attr}")
         stack.extend(ast.iter_child_nodes(node))
     return names
 
@@ -74,15 +79,41 @@ def test_every_private_helper_has_a_caller_in_the_library():
     assert orphans == set()
 
 
+def _reads_through(tree, module):
+    """The names a tests module reads through the module named ``module``.
+
+    ``module.X`` and ``from module import X`` read X, and so does the string
+    "X" in a function that calls ``getattr(module, ...)`` or
+    ``monkeypatch.setattr(module, ...)``, as a parametrized test does.
+    """
+    names = {name.partition(".")[2] for name in _referenced_names(tree, None)
+             if name.startswith(module + ".")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.FunctionDef) and any(
+            isinstance(call, ast.Call) and call.args
+            and ast.unparse(call.func) in ("getattr", "monkeypatch.setattr")
+            and ast.unparse(call.args[0]) == module
+            for call in ast.walk(node)
+        ):
+            names.update(const.value for const in ast.walk(node)
+                         if isinstance(const, ast.Constant) and isinstance(const.value, str))
+    return names
+
+
 @pytest.mark.parametrize("module", ["word_oracle", "shi_walk"])
 def test_every_reference_def_has_a_reader_in_the_tests(module):
     # A reference whose tests were deleted is dead code too: each top-level
-    # def must be read by another tests module or by another def of its own.
+    # def must be read through its module by another tests module, or be
+    # read by another def of its own.  A library name it shares does not count.
     trees = _trees(TESTS)
+    read = set().union(*(_reads_through(tree, module)
+                         for name, tree in trees.items() if name != module))
     orphans = {
         node.name for node in trees[module].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not any(node.name in _referenced_names(tree, node) for tree in trees.values())
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+        and node.name not in _referenced_names(trees[module], node)
     }
     assert orphans == set()
 

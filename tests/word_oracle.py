@@ -32,8 +32,6 @@ def count_parking_functions(n, force=False):
 
     The closed form is (n+1)^(n-1).  Guarded to n <= 8 (the scan is n^n).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     check_guard("count_parking_functions", n, 1, 8, force)
     start = time.perf_counter()
     matching = sum(1 for w in all_words(n, n) if is_parking_function(w))
@@ -56,8 +54,6 @@ def count_prime_parking_functions(n, force=False):
     but (1,) is prime by convention, so the word (1,) is scanned instead and
     the count is 1 = 0^0.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     check_guard("count_prime_parking_functions", n, 1, 8, force)
     start = time.perf_counter()
     if n == 1:
