@@ -3,7 +3,8 @@
 Every operation of the library is reachable through a subcommand; `--json`
 switches any of them from human-readable text to a single structured record
 on stdout.  Exit codes: 0 success (or a true answer), 1 a false answer or a
-failed verification/simulation, 2 invalid input, 3 guard-range violation.
+failed verification/simulation, 2 invalid input, 3 guard-range violation,
+130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -301,4 +302,6 @@ def main():
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         raise SystemExit(1)
+    except KeyboardInterrupt:  # Ctrl-C: exit as a shell reports SIGINT, quietly
+        raise SystemExit(130)
     raise SystemExit(code)

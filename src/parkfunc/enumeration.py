@@ -135,13 +135,12 @@ def count_prime_parking_functions(n, force=False):
 
     The closed form is (n-1)^(n-1).  A word is prime iff its sorted q lies
     under the bounds 1, 1, 2, ..., n-1.  For n = 1 the space [0]^1 is empty
-    but (1,) is prime by convention, so the word (1,) is checked instead and
-    the count is 1 = 0^0.  Guarded to n <= 10.
+    but (1,) is prime by convention, so the space read is [1]^1 under the
+    bound (1,), and the count is 1 = 0^0.  Guarded to n <= 10.
     """
     check_guard("count_prime_parking_functions", n, 1, 10, force)
-    if n == 1:
-        return _report(n, 1, lambda: (1, int(_prime_sorted((1,)))))
-    return _report(n, (n - 1) ** (n - 1), lambda: _count_under(n - 1, (1, *range(1, n))))
+    return _report(n, (n - 1) ** (n - 1),
+                   lambda: _count_under(max(n - 1, 1), (1, *range(1, n))))
 
 
 def verify_bijection(n, force=False):

@@ -18,14 +18,13 @@ permutation w, and only a non-inversion pair of positions p < q, one with
 w(p) < w(q), can lie on either side of its k=1 hyperplane.  The pairs with
 y_p - y_q > 1 form an up-set U of the staircase of pairs p < q, and any
 up-set occurs for every w; the region is w with U ∩ noninv(w), and it has
-exactly one U whose minimal elements are all non-inversions.  Each
-separating hyperplane counts once, so the label is read off directly, and
-so is boundedness.
+exactly one U whose minimal elements are all non-inversions.
 
-``_regions`` builds every region from its (w, U) pair; ``enumerate_regions``,
-``verify_pak_stanley`` and ``parkfunc shi``, in text and in JSON, take it.
-``_decode`` goes the other way: it reads the pair off any sign vector, or
-finds that there is none, so ``is_feasible``, ``is_bounded`` and
+``_encode`` reads a region's signs, label and boundedness off its (w, U) in
+one pass, and both directions use it.  ``_regions`` encodes every pair, for
+``enumerate_regions``, ``verify_pak_stanley`` and ``parkfunc shi``.
+``_decode`` reads the pair off any sign vector and keeps it iff it encodes
+back to that vector, so ``is_feasible``, ``is_bounded`` and
 ``feasible_point`` answer for one sign vector in O(n^2) without listing the
 arrangement.  The tests hold both directions to a breadth-first
 wall-crossing walk on integer difference constraints, in
@@ -74,7 +73,8 @@ class SignVector(_SignFields):
 
     ``signs[h]`` is +1 when the region lies on the x_i - x_j > k side of the
     h-th hyperplane of ``hyperplanes(n)`` and -1 otherwise.  Construction
-    checks both fields; ``_make`` and ``_replace`` do not.
+    checks both fields; ``_make`` and ``_replace`` do not, and an unchecked
+    vector with the wrong number of signs decodes to no region.
     """
 
     __slots__ = ()
@@ -139,39 +139,34 @@ def satisfiable(edges, n):
 
 
 def _decode(n, signs):
-    """The region's (w, m), as ``_regions`` builds them, or None if it is empty.
+    """The region's (w, m) and boundedness flag, or None if it is empty.
 
     Coordinates and positions are 0-based; ``w[p]`` is the coordinate at
     position p, and ``m[p]`` the smallest q with (p, q) in the canonical
-    up-set U, or n.  The k=0 signs order the coordinates iff the counts
-    above[a] = #{b : x_b > x_a} are a permutation of 0..n-1; a is then at
-    position above[a].  U is the up-closure of the non-inversions whose k=1
-    sign is +: y_p - y_q > 1 forces it on every (p', q') with
-    p' <= p < q <= q'.  The signs give a region iff each k=1 sign is the one
-    ``_regions`` gives (w, U): + iff the pair is a non-inversion in U.
-    O(n^2); n is not checked.
+    up-set U, or n, as ``_regions`` builds them.  The k=0 signs order the
+    coordinates iff the counts above[a] = #{b : x_b > x_a} are a permutation
+    of 0..n-1; a is then at position above[a].  U is the up-closure of the
+    non-inversions whose k=1 sign is +: y_p - y_q > 1 forces it on every
+    (p', q') with p' <= p < q <= q'.  The signs give a region iff ``_encode``
+    gives them back from (w, m).  O(n^2); n is not checked.
     """
     pairs = list(itertools.combinations(range(n), 2))
-    order, apart = signs[::2], signs[1::2]  # the k=0 and k=1 signs
     above = [0] * n
-    for (i, j), s in zip(pairs, order):
+    for (i, j), s in zip(pairs, signs[::2]):  # the k=0 signs
         above[j if s > 0 else i] += 1
     if len(set(above)) < n:
         return None
-    w = [0] * n
-    for a, p in enumerate(above):
-        w[p] = a
+    w = sorted(range(n), key=above.__getitem__)
+    frame = [(i, j, above[i], above[j]) for i, j in pairs]
     m = [n] * n
-    for (i, j), s, t in zip(pairs, order, apart):
-        if s > 0 and t > 0 and above[j] < m[above[i]]:
-            m[above[i]] = above[j]
+    for (i, j, p, q), t in zip(frame, signs[1::2]):  # the k=1 signs
+        if t > 0 and p < q < m[p]:
+            m[p] = q
     for p in range(n - 2, -1, -1):
         if m[p + 1] < m[p]:
             m[p] = m[p + 1]
-    for (i, j), s, t in zip(pairs, order, apart):
-        if (t > 0) != (s > 0 and m[above[i]] <= above[j]):
-            return None
-    return w, m
+    encoded, _, bounded = _encode(n, frame, m)
+    return (w, m, bounded) if encoded == signs else None
 
 
 def is_feasible(sv):
@@ -196,7 +191,7 @@ def feasible_point(sv):
     decoded = _decode(sv.n, sv.signs)
     if decoded is None:
         return None
-    w, m = decoded
+    w, m, _ = decoded
     n = sv.n
     y = [Fraction(0)] * n
     for p in range(n - 2, -1, -1):
@@ -235,15 +230,15 @@ class Region(NamedTuple):
 def is_bounded(region):
     """Whether the region is bounded modulo the line x_1 = ... = x_n.
 
-    Accepts a ``SignVector`` or a ``Region``; the test is ``_spanned`` on
-    the region's (w, m) from ``_decode``.  An empty region has no recession
+    Accepts a ``SignVector`` or a ``Region``; the answer is the flag that
+    ``_decode`` reads off ``_encode``.  An empty region has no recession
     cone to ask about, so it raises ``ValueError``.
     """
     sv = region.sign_vector if isinstance(region, Region) else region
     decoded = _decode(sv.n, sv.signs)
     if decoded is None:
         raise ValueError(f"region {sv.as_string()} (n={sv.n}) is empty")
-    return _spanned(*decoded)
+    return decoded[2]
 
 
 def _upsets(w, m, p):
@@ -267,63 +262,61 @@ def _upsets(w, m, p):
     yield from _upsets(w, m, p - 1)
 
 
-def _spanned(w, m):
-    """Whether every gap g|g+1 has a non-inversion p <= g < q with q < m[p].
+def _encode(n, frame, m):
+    """The signs, Pak-Stanley label and boundedness of the region (w, m).
 
-    Such a pair lies strictly between its two hyperplanes, 0 < y_p - y_q < 1,
-    which caps every gap it spans.  An uncapped gap g|g+1 is unbounded: only
-    lower bounds span it, so the y at positions 0..g can all rise together.
+    ``frame`` lists (i, j, pos(i), pos(j)) for each pair i < j of 0-based
+    coordinates, in the order of ``hyperplanes(n)``, with pos = w^-1.  The
+    k=0 sign of (i, j) is + iff p = pos(i) < q = pos(j), and the k=1 sign is
+    + iff, in addition, m[p] <= q.  Each hyperplane that separates the
+    region from the base chamber adds 1 to one label entry: an inversion
+    x_j > x_i to l_i, a pair with x_i - x_j > 1 to l_j.  So
+    l_a = 1 + #{b > a : x_b > x_a} + #{b < a : x_b - x_a > 1}.  A
+    non-inversion with q < m[p] lies strictly between its two hyperplanes,
+    0 < y_p - y_q < 1, which caps every gap g|g+1 with p <= g < q.  The
+    region is bounded iff every gap is capped: an uncapped gap is spanned
+    only by lower bounds, so the y at positions 0..g can all rise together.
     """
-    far = 0  # the furthest q that a pair p <= g caps, over the rows so far
-    for g in range(len(w) - 1):
-        for q in range(m[g] - 1, g, -1):
-            if w[g] < w[q]:
-                far = max(far, q)
-                break
+    signs = []
+    label = [1] * n
+    reach = [0] * n  # reach[p]: the furthest q that a pair at p caps
+    for i, j, p, q in frame:
+        if q < p:
+            signs += (-1, -1)
+            label[i] += 1
+        elif m[p] <= q:
+            signs += (1, 1)
+            label[j] += 1
+        else:
+            signs += (1, -1)
+            if q > reach[p]:
+                reach[p] = q
+    far = 0
+    for g in range(n - 1):
+        if reach[g] > far:
+            far = reach[g]
         if far <= g:
-            return False
-    return True
+            return tuple(signs), tuple(label), False
+    return tuple(signs), tuple(label), True
 
 
 def _regions(n):
     """Every region, labeled, from its (w, U) pair; n is not checked.
 
     Positions and coordinates are 0-based here.  For each permutation w
-    (``w[p]`` is the coordinate at position p, ``pos`` its inverse), the
-    k=0 sign of (i, j) is + iff pos(i) < pos(j); the k=1 sign is + iff,
-    in addition, m[pos(i)] <= pos(j).  Each separating hyperplane adds 1 to
-    one label entry, so l_a = 1 + #{b > a : x_b > x_a}
-    + #{b < a : x_b - x_a > 1}, and ``bfs_depth`` = sum(label) - n is
-    inv(w) plus the k=1 signs that are +.  Regions come out grouped by w,
-    not in walk order.
+    (``w[p]`` is the coordinate at position p, ``pos`` its inverse) and each
+    canonical up-set of ``_upsets``, ``_encode`` gives the signs, the label
+    and the boundedness flag; ``bfs_depth`` = sum(label) - n is inv(w) plus
+    the k=1 signs that are +.  Regions come out grouped by w, not in walk
+    order.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
     for w in itertools.permutations(range(n)):
-        pos = [0] * n
-        for p, a in enumerate(w):
-            pos[a] = p
-        # The label before the k=1 crossings: l_a = 1 + #{b > a : x_b > x_a}.
-        first = [1 + sum(pos[b] < pos[a] for b in range(a + 1, n)) for a in range(n)]
-        # The k=0 signs are fixed by w; only a non-inversion's k=1 sign varies.
-        fixed = []
-        ascents = []  # (index of the k=1 sign, pos(i), pos(j), j)
-        for i, j in pairs:
-            if pos[i] < pos[j]:
-                ascents.append((len(fixed) + 1, pos[i], pos[j], j))
-                fixed += (1, -1)
-            else:
-                fixed += (-1, -1)
+        pos = sorted(range(n), key=w.__getitem__)
+        frame = [(i, j, pos[i], pos[j]) for i, j in pairs]
         for m in _upsets(w, [n] * n, n - 2):
-            signs = fixed[:]
-            label = first[:]
-            for idx, p, q, j in ascents:
-                if m[p] <= q:
-                    signs[idx] = 1
-                    label[j] += 1
-            yield Region(
-                SignVector._make((n, tuple(signs))), tuple(label), _spanned(w, m),
-                sum(label) - n,
-            )
+            signs, label, bounded = _encode(n, frame, m)
+            yield Region(SignVector._make((n, signs)), label, bounded, sum(label) - n)
 
 
 def enumerate_regions(n, force=False):
@@ -333,8 +326,8 @@ def enumerate_regions(n, force=False):
     no distance matrix, then sorted into the order of the wall-crossing walk
     in ``tests/shi_walk.py``: level by level, each level by sign string.  On
     a shared 2-core Intel Xeon with Python 3.11.7, over repeated runs, it took
-    0.56-1.4 ms at n=4, 7.1-11 ms at n=5 and 0.12-0.22 s at n=6.  Guarded to
-    n <= 6; a forced n=7 took 2.8 s, in a process that peaked at 202 MB.
+    0.42-0.73 ms at n=4, 5.5-8.6 ms at n=5 and 0.10-0.12 s at n=6.  Guarded to
+    n <= 6; a forced n=7 took 2.4 s, in a process that peaked at 202 MB.
     """
     check_guard("enumerate_regions", n, 2, 6, force)
     # '+' sorts before '-', so ascending sign strings are descending sign

@@ -2,10 +2,10 @@
 
 Starting from the base chamber, labeled (1, ..., 1), a breadth-first walk
 across walls assigns each region its Pak-Stanley label, by the bump rule in
-``parkfunc.shi``'s module docstring.  ``tests/test_shi.py`` holds the
-library's (w, U) engine to it: ``enumerate_regions`` region for region, and
-the decoder behind ``is_feasible`` and ``is_bounded`` on every single flip
-of every region.
+``parkfunc.shi``'s module docstring.  ``tests/test_shi.py`` holds both
+directions of the library's one encoder, ``shi._encode``, to it:
+``enumerate_regions`` region for region, and the decoder behind
+``is_feasible`` and ``is_bounded`` on every single flip of every region.
 
 The walk follows the definition.  Every side of every hyperplane is an
 integer difference constraint x_v - x_u < c, so the geometry is shortest

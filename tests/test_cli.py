@@ -700,6 +700,20 @@ class TestUsage:
         assert first.count(",") == 5
         assert code == 1
 
+    def test_interrupt_exits_130_quietly(self, capsys, monkeypatch):
+        # Ctrl-C during a long request, such as a large `sample`, shows no traceback.
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parkfunc.cli, "run", interrupted)
+        with pytest.raises(SystemExit) as exc:
+            try:
+                parkfunc.cli.main()
+            except KeyboardInterrupt:  # would stop the whole test run
+                pytest.fail("main let KeyboardInterrupt through")
+        assert exc.value.code == 130
+        assert capsys.readouterr() == ("", "")
+
     def test_import_leaves_fractions_out(self):
         # Only the Shi witness points need fractions (and decimal behind it).
         done = run_python("-S", "-c", "import sys, parkfunc, parkfunc.cli; "

@@ -203,7 +203,7 @@ class TestFeasibility:
 
 class TestDecoder:
     # Each n=3 vector breaks one condition of a region and meets the other
-    # two; _decode's one k=1 rule catches the second and the third.  The
+    # two; _decode's re-encoding catches the second and the third.  The
     # signs go by pair, (1,2), (1,3), (2,3), k=0 then k=1.
     @pytest.mark.parametrize("text", [
         "+---+-",  # x_1 > x_2 > x_3 > x_1: the k=0 signs order nothing
@@ -216,6 +216,18 @@ class TestDecoder:
         assert shi._decode(3, sv.signs) is None
         assert not is_feasible(sv)
         assert feasible_point(sv) is None
+
+    @pytest.mark.parametrize("extra", [(1, 1), (-1,)], ids=["two more", "one more"])
+    def test_an_unchecked_vector_of_the_wrong_length_is_empty(self, extra):
+        # _replace skips the length check, and a zip over the pairs would
+        # drop the extra signs and find the base chamber.
+        base = base_region(3)
+        sv = base._replace(signs=base.signs + extra)
+        assert not is_feasible(sv)
+        assert feasible_point(sv) is None
+        with pytest.raises(ValueError) as exc:
+            is_bounded(sv)
+        assert str(exc.value) == f"region {sv.as_string()} (n=3) is empty"
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_flips_agree_with_the_walk_engine(self, n):
