@@ -4,7 +4,7 @@ Every word a in [n-1]^n factors uniquely as a shift k in [n-1] together with
 a prime parking function b satisfying a_i = b_i + k - 1 (mod n-1) for all i,
 a cycle-lemma style bijection [n-1]^n <-> [n-1] x PPF_n.  The shift is found
 by scoring each entry of the sorted word and taking the unique minimizer
-(``decompose`` reads it in closed form, with no score vector), and it also
+(``_shift`` reads it in closed form, with no score vector), and it also
 has a street interpretation: k is the one rotation for which all cars park
 on the street labeled k, k, k+1, ..., n-1, 1, ..., k-1.
 
@@ -81,9 +81,8 @@ def decompose(word):
     return _decompose(_shift_word(word, "decompose needs"))
 
 
-def _decompose(word):
-    """``decompose`` without input checks: word is a tuple over [n-1], n >= 2."""
-    q = sorted(word)
+def _shift(q):
+    """The shift k of a nondecreasing word q over [n-1], n >= 2, without input checks."""
     n = len(q)
     # The score argmin in closed form.  With the excess e_i = q_i - (i-1),
     # sum(q) - s_i = n*e_i + (i-1) and 0 <= i-1 < n, so the scores are
@@ -91,10 +90,17 @@ def _decompose(word):
     # no tie can occur.  Equal neighbours q_{i-1} = q_i give e_{i-1} > e_i,
     # so that index is also the first position of its entry k.
     excess = list(map(operator.sub, q, range(n)))
-    i = n - 1 - excess[::-1].index(max(excess))
-    k = q[i]
+    return q[n - 1 - excess[::-1].index(max(excess))]
+
+
+def _decompose(word):
+    """``decompose`` without input checks: word is a tuple over [n-1], n >= 2."""
+    q = sorted(word)
+    k = _shift(q)
+    # k sits at the score argmin, which is its first position in q (see _shift).
+    i = q.index(k)
     # itemgetter reads the table in C, and returns a tuple since n >= 2.
-    table = _shift_table(k, n - 1)
+    table = _shift_table(k, len(q) - 1)
     b = operator.itemgetter(*word)(table)
     # The shift sends the entries >= k, in order, below the entries < k, so
     # q rotated to start at its first k maps to b sorted.

@@ -8,14 +8,18 @@ and (n-1)^(n-1) prime ones, and they verify the shift decomposition
 Both families are decided on the sorted word alone (Konheim-Weiss), so the
 counts visit no word: they count the words whose sorted form lies under a
 bound by a recurrence over the labels (``_words_under``), which must also
-recount the whole space.  The verifiers build their words sorted and in
-range, so they call the unchecked kernels behind the predicates and
-``decompose``/``recompose``; the public functions validate their input once
-and then call the same kernels.  The bijection covers each word through its
-orbit under permutations of positions: decompose is equivariant by
-construction (k is read from the sorted word and b is an entrywise map of
-the word), so decompose(σa) = (k, σb), and the congruence gives matched
-orbits the same size (see ``verify_bijection``).  The test suite checks
+recount the whole space.  Each new state of the recurrence is a dot
+product with one diagonal of a binomial table built per call, summed in C.
+The verifiers build their words sorted and in range, so they call the
+unchecked kernels behind the predicates and ``decompose``/``recompose``; the
+public functions validate their input once and then call the same kernels.
+The proposition needs only the shift of each sorted word, so it reads the
+shift kernel ``_shift`` that ``decompose`` reads k by, and builds no prime
+part.  The bijection covers each word through its orbit under
+permutations of positions: decompose is equivariant by construction (k is
+read from the sorted word and b is an entrywise map of the word), so
+decompose(σa) = (k, σb), and the congruence gives matched orbits the same
+size (see ``verify_bijection``).  The test suite checks
 equivariance word by word for small n, and these oracles against full word
 scans and, above the scans' reach, the closed forms.
 
@@ -38,8 +42,9 @@ from typing import NamedTuple
 from .core import _first_positions, _prime_sorted, rotated_street
 # bench/tracer.py patches these names here, so they stay even when unused.
 from .core import is_parking_function, is_prime_parking_function, simulate  # noqa: F401
-# The unchecked kernels, under the public names bench/tracer.py and the tests patch.
-from .cycle_lemma import _decompose as decompose, _recompose as recompose
+# The unchecked kernels; decompose and recompose keep the public names
+# bench/tracer.py and the tests patch.
+from .cycle_lemma import _decompose as decompose, _recompose as recompose, _shift
 from .errors import InvariantError, check_guard
 
 
@@ -53,9 +58,9 @@ def _sorted_words(max_label, length):
     return itertools.combinations_with_replacement(range(1, max_label + 1), length)
 
 
-def _binomial_rows(size):
-    """rows[r][t] = C(r, t) for 0 <= t <= r <= size."""
-    return [[math.comb(r, t) for t in range(r + 1)] for r in range(size + 1)]
+def _diagonals(length):
+    """diag[f][c] = C(length - c, f - c) for 0 <= c <= f <= length."""
+    return [[math.comb(length - c, f - c) for c in range(f + 1)] for f in range(length + 1)]
 
 
 def _words_under(max_label, bounds):
@@ -63,19 +68,18 @@ def _words_under(max_label, bounds):
 
     For nondecreasing bounds that holds iff, for every label j, at least
     #{i : bounds_i <= j} entries are <= j.  ways[c] counts the placements of
-    the labels so far that fill c of the L positions: placing label j on t
-    of the L - c free positions is C(L - c, t) ways, and the states below
-    the label's floor are dropped.
+    the labels so far that fill c of the L positions: placing label j on
+    f - c of the L - c free positions is C(L - c, f - c) = diag[f][c] ways,
+    so the new ways[f] is the dot product of ways with diag[f], summed in C
+    (``map`` stops at the shorter row, c <= f).  The states below the
+    label's floor are dropped.
     """
     length = len(bounds)
-    rows = _binomial_rows(length)
+    diag = _diagonals(length)
     ways = [1] + [0] * length
     for j in range(1, max_label + 1):
         floor = sum(map(j.__ge__, bounds))
-        ways = [0] * floor + [
-            sum(ways[c] * rows[length - c][f - c] for c in range(f + 1))
-            for f in range(floor, length + 1)
-        ]
+        ways = [0] * floor + [sum(map(operator.mul, ways, row)) for row in diag[floor:]]
     return ways[length]
 
 
@@ -208,8 +212,9 @@ def verify_proposition(n, force=False):
     is the decomposition's shift.  Every word is parked on every street, so
     nothing is assumed about the order of the cars.  The expected shift is
     looked up by the word's multiset code sum((n+1)^(x-1)), from the
-    unchecked decompose kernel on each sorted word (generated in range),
-    since decompose reads k from the sorted word.
+    unchecked shift kernel ``_shift`` on each sorted word (generated in
+    range): decompose reads k by the same kernel, from the sorted word, so
+    no prime part is built here.
 
     The check runs over one set of pairs (masks, code): masks holds each
     street's state, its occupied-spot bitmask or dead = 2^n once a car has
@@ -232,7 +237,7 @@ def verify_proposition(n, force=False):
     steps = [(n + 1) ** (p - 1) for p in range(1, n)]
     step_of = [None, *steps]
     shift_of = {
-        sum(map(step_of.__getitem__, q)): decompose(q).k for q in _sorted_words(m, n)
+        sum(map(step_of.__getitem__, q)): _shift(q) for q in _sorted_words(m, n)
     }
     dead = 1 << n
     after = [_park_column(n, f) for f in range(n)]

@@ -81,9 +81,18 @@ MUTANTS = (
     ),
     Mutant(
         "words-under-wrong-binomial-row", "enumeration.py",
-        "rows[length - c][f - c]",
-        "rows[length][f - c]",
+        "math.comb(length - c, f - c)",
+        "math.comb(length, f - c)",
         ("tests/test_enumeration.py::test_recurrence_matches_the_closed_forms[parking-2]",),
+    ),
+    Mutant(
+        "count-without-recount", "enumeration.py",
+        "if total != max_label**length:",
+        "if total is None:",
+        ("tests/test_enumeration.py::test_a_wrong_binomial_row_fails_the_count"
+         "[count_parking_functions-3]",
+         "tests/test_enumeration.py::test_no_single_wrong_binomial_moves_the_count_unseen"
+         "[count_prime_parking_functions-4]"),
     ),
     Mutant(
         "words-under-last-label-dropped", "enumeration.py",
@@ -98,6 +107,12 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_wrong_shift_fails_both_verifiers[verify_proposition]",),
     ),
     Mutant(
+        "proposition-moved-shift", "enumeration.py",
+        "_shift(q) for q in _sorted_words(m, n)",
+        "_shift(q) % m + 1 for q in _sorted_words(m, n)",
+        ("tests/test_enumeration.py::test_verify_proposition",),
+    ),
+    Mutant(
         "proposition-no-open-street", "enumeration.py",
         "1 <= k <= m or masks[k - 1] == dead or",
         "1 <= k <= m or",
@@ -105,8 +120,8 @@ MUTANTS = (
     ),
     Mutant(
         "decompose-first-maximum", "cycle_lemma.py",
-        "i = n - 1 - excess[::-1].index(max(excess))",
-        "i = excess.index(max(excess))",
+        "return q[n - 1 - excess[::-1].index(max(excess))]",
+        "return q[excess.index(max(excess))]",
         ("tests/test_acceptance.py::test_criterion_2_bijection",),
     ),
     Mutant(

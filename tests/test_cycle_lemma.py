@@ -16,7 +16,7 @@ from parkfunc import (
     scores,
     sorted_rearrangement,
 )
-from parkfunc.cycle_lemma import _recompose, _shift_table
+from parkfunc.cycle_lemma import _recompose, _shift, _shift_table
 from parkfunc.enumeration import _sorted_words
 from conftest import PRIME15, SHIFT15, WORD15, run_python
 from word_oracle import decompose_by_scores
@@ -164,7 +164,7 @@ class TestDecompose:
 
 
 class TestClosedFormShift:
-    """decompose's closed-form argmin against the score vector it replaces."""
+    """The closed-form argmin ``_shift``, and decompose on it, against the score vector."""
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_every_sorted_word_follows_the_score_rule(self, n):
@@ -172,6 +172,12 @@ class TestClosedFormShift:
             k, b = decompose(q)
             assert k == q[scores(q).argmin - 1], q
             assert (k, b) == decompose_by_scores(q), q
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_the_shift_kernel_follows_the_score_reference(self, n):
+        # The kernel verify_proposition reads k from, on its own.
+        for q in itertools.combinations_with_replacement(range(1, n), n):
+            assert _shift(q) == decompose_by_scores(q).k == decompose(q).k, q
 
     @pytest.mark.parametrize("n", [64, 2048])
     def test_random_words_match_the_score_reference(self, n):

@@ -25,6 +25,7 @@ from parkfunc import (
     verify_proposition,
 )
 from parkfunc.core import _parks_sorted, _prime_sorted
+from parkfunc.cycle_lemma import _shift
 from parkfunc.enumeration import _sorted_words
 
 PF_COUNTS = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296}
@@ -182,16 +183,33 @@ def _shift_mod(decompose):
     return wrong
 
 
+def _kernel_moved(shift):
+    """The shift kernel with k moved to the next shift, as _shift_moved moves decompose's."""
+    return lambda q: shift(q) % (len(q) - 1) + 1
+
+
+def _kernel_mod(shift):
+    """The shift kernel with k reduced mod n-1, as _shift_mod reduces decompose's."""
+    return lambda q: shift(q) % (len(q) - 1)
+
+
 @pytest.mark.parametrize("oracle", ["verify_bijection", "verify_proposition"])
 def test_wrong_shift_fails_both_verifiers(monkeypatch, oracle):
-    for module in (parkfunc.enumeration, word_oracle):
-        monkeypatch.setattr(module, "decompose", _shift_moved(decompose))
+    # The library's bijection reads k through decompose and its proposition
+    # through the shift kernel alone; word_oracle reads both through decompose.
+    def patch(wrong, wrong_kernel):
+        monkeypatch.setattr(word_oracle, "decompose", wrong(decompose))
+        if oracle == "verify_proposition":
+            monkeypatch.setattr(parkfunc.enumeration, "_shift", wrong_kernel(_shift))
+        else:
+            monkeypatch.setattr(parkfunc.enumeration, "decompose", wrong(decompose))
+
+    patch(_shift_moved, _kernel_moved)
     assert getattr(parkfunc.enumeration, oracle)(4) is False
     assert getattr(word_oracle, oracle)(4) is False
     # A shift outside [n-1] keeps the congruence; it is a false answer, not
     # bad input, so neither verifier may raise on it.
-    for module in (parkfunc.enumeration, word_oracle):
-        monkeypatch.setattr(module, "decompose", _shift_mod(decompose))
+    patch(_shift_mod, _kernel_mod)
     for n in range(3, 7):
         assert getattr(parkfunc.enumeration, oracle)(n) is False, n
         assert getattr(word_oracle, oracle)(n, force=True) is False, n
@@ -212,12 +230,11 @@ def test_shifts_moved_in_step_fail_the_congruence(monkeypatch):
         assert word_oracle.verify_bijection(n, force=True) is False, n
 
 
-def _wrong_on_orbit(decompose, q):
-    """decompose with k moved on the words that sort to q, and right elsewhere."""
-    moved = _shift_moved(decompose)
+def _wrong_on_orbit(right, moved, q):
+    """moved on the words that sort to q, and right elsewhere."""
 
     def wrong(word):
-        return moved(word) if tuple(sorted(word)) == q else decompose(word)
+        return moved(word) if tuple(sorted(word)) == q else right(word)
 
     return wrong
 
@@ -229,8 +246,12 @@ def test_one_wrong_orbit_fails_every_verifier(monkeypatch, n, place):
     # prime set of the bijection check, must not hide a single bad orbit.
     reps = list(_sorted_words(n - 1, n))
     q = {"first": reps[0], "middle": reps[len(reps) // 2], "last": reps[-1]}[place]
+    # The library's proposition reads k through the shift kernel alone.
+    wrong = _wrong_on_orbit(decompose, _shift_moved(decompose), q)
     for module in (parkfunc.enumeration, word_oracle):
-        monkeypatch.setattr(module, "decompose", _wrong_on_orbit(decompose, q))
+        monkeypatch.setattr(module, "decompose", wrong)
+    monkeypatch.setattr(parkfunc.enumeration, "_shift",
+                        _wrong_on_orbit(_shift, _kernel_moved(_shift), q))
     for oracle in ("verify_bijection", "verify_proposition"):
         assert getattr(parkfunc.enumeration, oracle)(n) is False, (oracle, q)
         assert getattr(word_oracle, oracle)(n, force=True) is False, (oracle, q)
@@ -474,26 +495,27 @@ def test_a_bound_off_by_one_fails_the_count(monkeypatch, count, n):
         assert count(n).agrees is False, wrong
 
 
-def _rows_with(change):
-    """_binomial_rows with change(rows) applied to its result."""
-    real = parkfunc.enumeration._binomial_rows
+def _diagonals_with(change):
+    """_diagonals with change(diag) applied to its result."""
+    real = parkfunc.enumeration._diagonals
 
-    def rows(size):
-        table = real(size)
+    def diagonals(length):
+        table = real(length)
         change(table)
         return table
 
-    return rows
+    return diagonals
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 @pytest.mark.parametrize("count", [count_parking_functions, count_prime_parking_functions])
 def test_a_wrong_binomial_row_fails_the_count(monkeypatch, count, n):
-    for r in range(n + 1):
+    # Both counts read a word length of n, so the table has n + 1 diagonals.
+    for f in range(n + 1):
         def bump(table):
-            table[r] = [x + 1 for x in table[r]]
+            table[f] = [x + 1 for x in table[f]]
 
-        monkeypatch.setattr(parkfunc.enumeration, "_binomial_rows", _rows_with(bump))
+        monkeypatch.setattr(parkfunc.enumeration, "_diagonals", _diagonals_with(bump))
         with pytest.raises(InvariantError):
             count(n)
 
@@ -503,17 +525,17 @@ def test_a_wrong_binomial_row_fails_the_count(monkeypatch, count, n):
 def test_no_single_wrong_binomial_moves_the_count_unseen(monkeypatch, count, n):
     # A wrong entry the count reads must fail the whole-space recount.
     right = count(n)
-    for r in range(n + 1):
-        for t in range(r + 1):
+    for f in range(n + 1):
+        for c in range(f + 1):
             def bump(table):
-                table[r][t] += 1
+                table[f][c] += 1
 
-            monkeypatch.setattr(parkfunc.enumeration, "_binomial_rows", _rows_with(bump))
+            monkeypatch.setattr(parkfunc.enumeration, "_diagonals", _diagonals_with(bump))
             try:
                 report = count(n)
             except InvariantError:
                 continue
-            assert report.matching == right.matching, (r, t)
+            assert report.matching == right.matching, (f, c)
 
 
 def test_the_oracles_validate_no_word(monkeypatch):
@@ -531,6 +553,19 @@ def test_the_oracles_validate_no_word(monkeypatch):
         assert (report.matching, report.formula_value, report.agrees) == (formula, formula, True)
     assert verify_bijection(6) is True
     assert verify_proposition(6) is True
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_the_proposition_check_makes_no_decompose_call(monkeypatch, n):
+    # It reads each sorted word's shift from the shift kernel alone and
+    # builds no prime part.
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"decompose ran inside verify_proposition on {args}")
+
+    monkeypatch.setattr(parkfunc.enumeration, "decompose", refuse)
+    for name in ("decompose", "_decompose"):
+        monkeypatch.setattr(parkfunc.cycle_lemma, name, refuse)
+    assert verify_proposition(n) is True
 
 
 @pytest.mark.parametrize("oracle,n", [(count_parking_functions, 7), (verify_bijection, 6)])

@@ -5,8 +5,9 @@ every word of its space, with no use of the orbit reduction or the label
 recurrence that the library oracles rest on.  ``tests/test_enumeration.py``
 checks that the library returns the same answers for every n these scans
 reach at desk speed; above that, the library counts are held to their
-closed forms.  The closed-form shift of ``decompose`` is held to
-``decompose_by_scores``, which takes the minimal entry of the score vector.
+closed forms.  The closed-form shift kernel ``_shift``, and ``decompose``
+built on it, are held to ``decompose_by_scores``, which takes the minimal
+entry of the score vector.
 """
 
 import operator
