@@ -83,14 +83,17 @@ def decompose(word):
 
 def _shift(q):
     """The shift k of a nondecreasing word q over [n-1], n >= 2, without input checks."""
-    n = len(q)
     # The score argmin in closed form.  With the excess e_i = q_i - (i-1),
     # sum(q) - s_i = n*e_i + (i-1) and 0 <= i-1 < n, so the scores are
     # distinct and the minimum sits at the last index of the largest excess;
-    # no tie can occur.  Equal neighbours q_{i-1} = q_i give e_{i-1} > e_i,
+    # no tie can occur.  One scan finds that index: ">=" hands a tied excess
+    # to the later entry.  Equal neighbours q_{i-1} = q_i give e_{i-1} > e_i,
     # so that index is also the first position of its entry k.
-    excess = list(map(operator.sub, q, range(n)))
-    return q[n - 1 - excess[::-1].index(max(excess))]
+    top = k = 0
+    for i, x in enumerate(q):
+        if x - i >= top:
+            top, k = x - i, x
+    return k
 
 
 def _decompose(word):

@@ -30,7 +30,9 @@ parked on all n-1 rotated streets at once, one car per round, as a set of
 distinct pairs (the streets' occupied-spot masks, the multiset of cars so
 far).  Parking is online, so the pairs after t cars are exactly the
 outcomes of all words of t cars, and words that share a pair share their
-whole future.
+whole future.  Pairs that share only their masks share the masks' future,
+so each call parks the cars on every mask state once, in a successor table
+that every round reads.
 """
 
 import itertools
@@ -230,7 +232,11 @@ def verify_proposition(n, force=False):
     outcome on every street, its code)} over all words of t cars, and
     checking every final pair checks every word: its open streets must be
     exactly [shift_of[code]].  Words that reach the same pair are checked
-    once.  Guarded to n <= 9.
+    once.  A round's next masks depend on the masks alone, so each call
+    fills succ[masks] = [(next masks, step) for each car] once per joint
+    state, the first time a round meets it, and the rounds read that table;
+    the set of pairs each round makes, and so the induction, is unchanged.
+    Guarded to n <= 9.
     """
     check_guard("verify_proposition", n, 2, 9, force)
     m = n - 1
@@ -244,10 +250,13 @@ def verify_proposition(n, force=False):
     first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]
     # moves[p - 1][s]: the column car p moves street s through.
     moves = [[after[fp[p]] for fp in first] for p in range(1, n)]
+    succ = {}
     pairs = {((0,) * m, 0)}
     for _ in range(n):
-        pairs = {(tuple(map(list.__getitem__, row, masks)), code + step)
-                 for masks, code in pairs for row, step in zip(moves, steps)}
+        for masks in {masks for masks, _ in pairs} - succ.keys():
+            succ[masks] = [(tuple(map(list.__getitem__, row, masks)), step)
+                           for row, step in zip(moves, steps)]
+        pairs = {(nxt, code + step) for masks, code in pairs for nxt, step in succ[masks]}
     for masks, code in pairs:
         k = shift_of[code]
         # Check k's range first: k = 0 would read the last street.

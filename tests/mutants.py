@@ -3,8 +3,9 @@
 Each row names a module under ``src/parkfunc``, the exact text to replace
 (it must occur once in that module), the text put in its place, and the
 Tier-1 node ids of which at least one must fail on the mutant.
-``tests/test_mutants.py`` checks every row against the source on each
-Tier-1 run, so a refactor that moves a row's text must update the row.
+``tests/test_mutants.py`` checks every row against the source, and every
+node id against the test file it names, on each Tier-1 run, so a refactor
+that moves a row's text or renames one of its tests must update the row.
 ``tests/run_mutants.py`` applies each row to a copy of ``src/`` and runs
 its node ids there.  A new check that is written to catch a fault gets its
 row here.
@@ -113,6 +114,18 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_verify_proposition",),
     ),
     Mutant(
+        "proposition-stale-successors", "enumeration.py",
+        "row, masks",
+        "row, (0,) * m",
+        ("tests/test_enumeration.py::test_verify_proposition",),
+    ),
+    Mutant(
+        "bijection-no-shift-range", "enumeration.py",
+        "if not 1 <= k <= m or operator.itemgetter",
+        "if operator.itemgetter",
+        ("tests/test_enumeration.py::test_wrong_shift_fails_both_verifiers[verify_bijection]",),
+    ),
+    Mutant(
         "proposition-no-open-street", "enumeration.py",
         "1 <= k <= m or masks[k - 1] == dead or",
         "1 <= k <= m or",
@@ -120,9 +133,11 @@ MUTANTS = (
     ),
     Mutant(
         "decompose-first-maximum", "cycle_lemma.py",
-        "return q[n - 1 - excess[::-1].index(max(excess))]",
-        "return q[excess.index(max(excess))]",
-        ("tests/test_acceptance.py::test_criterion_2_bijection",),
+        "if x - i >= top:",
+        "if x - i > top:",
+        ("tests/test_acceptance.py::test_criterion_2_bijection",
+         "tests/test_cycle_lemma.py::TestClosedFormShift"
+         "::test_a_repeated_largest_excess_goes_to_its_last_index[tuple]"),
     ),
     Mutant(
         "emit-without-command", "cli.py",

@@ -179,6 +179,15 @@ class TestClosedFormShift:
         for q in itertools.combinations_with_replacement(range(1, n), n):
             assert _shift(q) == decompose_by_scores(q).k == decompose(q).k, q
 
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_a_repeated_largest_excess_goes_to_its_last_index(self, kind):
+        # q = (1, 2, ..., n-1, n-1) has excess 1 at every index but the last,
+        # so the kernel must keep the last tie: k = n-1.  decompose passes a
+        # list and verify_proposition a tuple.
+        for n in range(2, 2049):
+            q = kind([*range(1, n), n - 1])
+            assert _shift(q) == decompose_by_scores(q).k == n - 1, n
+
     @pytest.mark.parametrize("n", [64, 2048])
     def test_random_words_match_the_score_reference(self, n):
         rng = random.Random(n)

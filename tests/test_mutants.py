@@ -3,9 +3,23 @@
 This check only reads files; ``tests/run_mutants.py`` runs the mutants.
 """
 
+import ast
+
 import pytest
 
 from mutants import MUTANTS, REPO, SRC
+
+
+def _defines(path, names):
+    """Whether the module at ``path`` defines ``names``: a class, its nested classes, a def."""
+    body = ast.parse(path.read_text()).body
+    for name in names:
+        body = next((node.body for node in body
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name),
+                    None)
+        if body is None:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.id)
@@ -14,4 +28,7 @@ def test_each_mutant_replaces_one_text_and_names_its_tests(mutant):
     assert mutant.new != mutant.old
     assert mutant.tests
     for node in mutant.tests:
-        assert (REPO / node.partition("::")[0]).is_file(), node
+        # path::Class::test[param]: the param is dropped, and the rest must be defined.
+        path, *names = node.partition("[")[0].split("::")
+        assert (REPO / path).is_file(), node
+        assert names and _defines(REPO / path, names), node
