@@ -103,39 +103,9 @@ class SignVector(_SignFields):
         return cls(n, tuple(1 if c == "+" else -1 for c in text))
 
 
-def _distances(n, edges):
-    """Floyd-Warshall all-pairs distances, or None on a negative cycle.
-
-    A missing edge gets the stand-in weight ``far = 2n(n+2)``.  Real weights
-    lie in [-(n+2), n], so a simple path of real edges weighs less than
-    n(n+2) in absolute value, while a path or cycle through a stand-in
-    weighs more: it never passes for a real path or closes a negative cycle.
-    """
-    far = 2 * n * (n + 2)
-    dist = [[far] * n for _ in range(n)]
-    for v in range(n):
-        dist[v][v] = 0
-    for u, v, w in edges:
-        if w < dist[u][v]:
-            dist[u][v] = w
-    for m in range(n):
-        via = dist[m]
-        for row in dist:
-            to_m = row[m]
-            for v in range(n):
-                if to_m + via[v] < row[v]:
-                    row[v] = to_m + via[v]
-    if any(dist[v][v] < 0 for v in range(n)):
-        return None
-    return dist
-
-
-def satisfiable(edges, n):
-    """Whether the strict difference constraints admit a point (no negative cycle).
-
-    No library code calls it; ``bench/tracer.py`` patches it by name.
-    """
-    return _distances(n, edges) is not None
+def satisfiable(sv):
+    """``is_feasible`` under the name ``bench/tracer.py`` wraps; nothing calls it."""
+    return is_feasible(sv)
 
 
 def _decode(n, signs):
@@ -143,19 +113,21 @@ def _decode(n, signs):
 
     Coordinates and positions are 0-based; ``w[p]`` is the coordinate at
     position p, and ``m[p]`` the smallest q with (p, q) in the canonical
-    up-set U, or n, as ``_regions`` builds them.  The k=0 signs order the
-    coordinates iff the counts above[a] = #{b : x_b > x_a} are a permutation
-    of 0..n-1; a is then at position above[a].  U is the up-closure of the
+    up-set U, or n, as ``_regions`` builds them.  Coordinate a goes to
+    position above[a] = #{b : x_b > x_a}, and U is the up-closure of the
     non-inversions whose k=1 sign is +: y_p - y_q > 1 forces it on every
     (p', q') with p' <= p < q <= q'.  The signs give a region iff ``_encode``
-    gives them back from (w, m).  O(n^2); n is not checked.
+    gives them back from (w, m).  That one test also rejects k=0 signs that
+    order nothing: ``_encode`` gives pair i < j the k=0 sign + iff
+    above[i] <= above[j], so if every k=0 sign comes back, the greater
+    coordinate of each pair has the smaller key (above, index).  The signs
+    then follow one total order, and above is a permutation of 0..n-1.
+    O(n^2); n is not checked.
     """
     pairs = list(itertools.combinations(range(n), 2))
     above = [0] * n
     for (i, j), s in zip(pairs, signs[::2]):  # the k=0 signs
         above[j if s > 0 else i] += 1
-    if len(set(above)) < n:
-        return None
     w = sorted(range(n), key=above.__getitem__)
     frame = [(i, j, above[i], above[j]) for i, j in pairs]
     m = [n] * n

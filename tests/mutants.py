@@ -132,12 +132,36 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_one_wrong_orbit_fails_every_verifier[3-first]",),
     ),
     Mutant(
+        "parks-sorted-strict", "core.py",
+        "if x > i:",
+        "if x >= i:",
+        ("tests/test_core.py::TestPredicates::test_fifteen_car_example_is_parking",),
+    ),
+    Mutant(
+        "prime-first-entry-unbounded", "core.py",
+        "q[0] <= 1 and",
+        "q[0] <= 2 and",
+        ("tests/test_core.py::TestKernels::test_prime_sorted_is_strip_a_one_then_park[1]",),
+    ),
+    Mutant(
+        "as-word-accepts-bool", "core.py",
+        "not isinstance(x, int) or isinstance(x, bool) or x < 1",
+        "not isinstance(x, int) or x < 1",
+        ("tests/test_rejections.py::test_entry_rejections",),
+    ),
+    Mutant(
         "decompose-first-maximum", "cycle_lemma.py",
         "if x - i >= top:",
         "if x - i > top:",
         ("tests/test_acceptance.py::test_criterion_2_bijection",
          "tests/test_cycle_lemma.py::TestClosedFormShift"
          "::test_a_repeated_largest_excess_goes_to_its_last_index[tuple]"),
+    ),
+    Mutant(
+        "recompose-wrong-direction", "cycle_lemma.py",
+        "_shift_table((1 - k) % m + 1, m)",
+        "_shift_table(k, m)",
+        ("tests/test_cycle_lemma.py::TestDecompose::test_exhaustive_roundtrip_prime_unique[4]",),
     ),
     Mutant(
         "emit-without-command", "cli.py",

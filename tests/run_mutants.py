@@ -8,7 +8,9 @@ child interpreter must first import ``parkfunc`` from the copy.  The
 mutant's node ids then run under pytest, from the repo root, with
 PYTHONPATH pointing at the copy.  The mutant is caught when pytest reports
 a failed test (exit 1); a pass survives it, and any other exit (a missing
-node id, a collection error) is an error.  Before the mutants, the same
+node id, a collection error) is an error.  A child that runs past
+``TIMEOUT`` seconds, as a mutant that makes a loop endless would, is killed
+and its row reads ``timeout``, not caught.  Before the mutants, the same
 node ids must pass on an unmutated copy, so that a failure is the
 mutant's.  Prints one row per mutant and exits 1 unless every mutant is
 caught.
@@ -24,9 +26,11 @@ from pathlib import Path
 
 from mutants import MUTANTS, REPO
 
+TIMEOUT = 300  # per pytest child; far above the slowest row
+
 
 def _pytest(copy, nodes):
-    """Run ``nodes`` against the parkfunc in ``copy``; return pytest's exit code."""
+    """Run ``nodes`` against the parkfunc in ``copy``; pytest's exit code, or None on a timeout."""
     env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
     found = subprocess.run(
         [sys.executable, "-c", "import parkfunc; print(parkfunc.__file__)"],
@@ -34,10 +38,14 @@ def _pytest(copy, nodes):
     ).stdout.strip()
     if not Path(found).is_relative_to(copy):
         raise SystemExit(f"the child imported parkfunc from {found}, not from {copy}")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
-        cwd=REPO, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
+            cwd=REPO, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def _run(nodes, mutant=None):
@@ -64,7 +72,7 @@ def main():
     for mutant in MUTANTS:
         began = time.perf_counter()
         code = _run(mutant.tests, mutant)
-        result = {0: "SURVIVED", 1: "caught"}.get(code, f"error {code}")
+        result = {0: "SURVIVED", 1: "caught", None: "timeout"}.get(code, f"error {code}")
         survived += code != 1
         print(f"{mutant.id:<{width}}  {mutant.file:<14}  {result:<8}  {time.perf_counter() - began:7.1f}")
     print(f"{survived} not caught; {time.perf_counter() - start:.1f} s in all")

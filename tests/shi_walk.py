@@ -14,21 +14,41 @@ paths on a weighted digraph with one edge u -> v per hyperplane (CLRS 24.4,
 the integer weight c*(n+1) - 1: a simple cycle has at most n edges, so the
 scaled cycle weight is negative exactly when the cycle's constants sum to
 at most 0, which is exactly when the strict system is empty.  One distance
-matrix per region, from ``shi._distances``, gives its walls and its
-boundedness.  All distances are plain ints.  The library keeps
-``_distances`` for this walk and for ``shi.satisfiable``, which takes an
-edge list and which only ``bench/tracer.py`` names.
+matrix per region, from the Floyd-Warshall ``_distances`` below, gives its
+walls and its boundedness.  All distances are plain ints.  The walk owns
+its solver: the library has no distance matrix, and this module takes only
+records and the arrangement's layout from it.
 """
 
 from parkfunc.errors import InvariantError
-from parkfunc.shi import (
-    Region,
-    SignVector,
-    _distances,
-    _sign_string,
-    base_region,
-    hyperplanes,
-)
+from parkfunc.shi import Region, SignVector, _sign_string, base_region, hyperplanes
+
+
+def _distances(n, edges):
+    """Floyd-Warshall all-pairs distances, or None on a negative cycle.
+
+    A missing edge gets the stand-in weight ``far = 2n(n+2)``.  Real weights
+    lie in [-(n+2), n], so a simple path of real edges weighs less than
+    n(n+2) in absolute value, while a path or cycle through a stand-in
+    weighs more: it never passes for a real path or closes a negative cycle.
+    """
+    far = 2 * n * (n + 2)
+    dist = [[far] * n for _ in range(n)]
+    for v in range(n):
+        dist[v][v] = 0
+    for u, v, w in edges:
+        if w < dist[u][v]:
+            dist[u][v] = w
+    for m in range(n):
+        via = dist[m]
+        for row in dist:
+            to_m = row[m]
+            for v in range(n):
+                if to_m + via[v] < row[v]:
+                    row[v] = to_m + via[v]
+    if any(dist[v][v] < 0 for v in range(n)):
+        return None
+    return dist
 
 
 def _edges(n, signs, hps):

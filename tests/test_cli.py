@@ -456,11 +456,11 @@ class TestShi:
         assert invoke(capsys, "shi", "--n", n) == (code, "", err)
         assert invoke(capsys, "shi", "--n", n, "--json") == (code, "", err)
 
-    def test_builds_no_distance_matrix(self, capsys, monkeypatch):
-        def refuse(n, edges):
-            raise AssertionError("parkfunc shi built a distance matrix")
+    def test_decodes_no_sign_vector(self, capsys, monkeypatch):
+        def refuse(n, signs):
+            raise AssertionError("parkfunc shi decoded a sign vector")
 
-        monkeypatch.setattr(parkfunc.shi, "_distances", refuse)
+        monkeypatch.setattr(parkfunc.shi, "_decode", refuse)
         code, text, _ = invoke(capsys, "shi", "--n", "4")
         assert code == 0 and len(text.splitlines()) == 125
         code, blob, _ = invoke(capsys, "shi", "--n", "4", "--json")

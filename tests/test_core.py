@@ -144,7 +144,9 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_prime_sorted_is_strip_a_one_then_park(self, n):
-        for q in itertools.combinations_with_replacement(range(1, n + 1), n):
+        # Labels up to n+1: over [n] only (1,) has length 1, so (2,) is what
+        # holds the first entry to 1.
+        for q in itertools.combinations_with_replacement(range(1, n + 2), n):
             assert _prime_sorted(q) == _prime_by_definition(q), q
 
 

@@ -258,6 +258,15 @@ SHIFT_DIGESTS = {
 }
 
 
+# sample_primes(n, seed, count) for three requests, pinned so that a change
+# to the sampler keeps every seeded stream byte for byte.
+STREAM_DIGESTS = {
+    (5, 1234, 200): "4d17f0aac62e97d6a5e599a552d1f722dc1719b4cd441ce906d02bfd2e27d274",
+    (64, 7, 50): "6c603d980432f95af785662dca039c6302565e9b5d541cdbe8ea85ad918eeae5",
+    (300, 1, 5): "ef5e40fc6524aeaf78897e8084cfed4c8a6ae5adf3fbb295563b433606e5882a",
+}
+
+
 def digest(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
@@ -277,6 +286,10 @@ class TestOutputsStayFixed:
         ks = [part.k for part in parts]
         back = list(map(recompose, words, ks))
         assert digest((ks, [part.b for part in parts], back)) == SHIFT_DIGESTS[n]
+
+    @pytest.mark.parametrize("n,seed,count", sorted(STREAM_DIGESTS))
+    def test_seeded_sample_streams(self, n, seed, count):
+        assert digest(sample_primes(n, seed, count)) == STREAM_DIGESTS[n, seed, count]
 
 
 class TestSampler:

@@ -203,8 +203,8 @@ class TestFeasibility:
 
 class TestDecoder:
     # Each n=3 vector breaks one condition of a region and meets the other
-    # two; _decode's re-encoding catches the second and the third.  The
-    # signs go by pair, (1,2), (1,3), (2,3), k=0 then k=1.
+    # two; _decode's one re-encoding catches all three.  The signs go by
+    # pair, (1,2), (1,3), (2,3), k=0 then k=1.
     @pytest.mark.parametrize("text", [
         "+---+-",  # x_1 > x_2 > x_3 > x_1: the k=0 signs order nothing
         "-++-+-",  # x_2 > x_1, yet x_1 - x_2 > 1
@@ -391,11 +391,11 @@ class TestRegions:
     def test_regions_equal_the_walk(self, n):
         assert enumerate_regions(n) == list(shi_walk._walk(n))
 
-    def test_regions_build_no_distance_matrix(self, monkeypatch):
-        def refuse(n, edges):
-            raise AssertionError("enumerate_regions built a distance matrix")
+    def test_regions_decode_no_sign_vector(self, monkeypatch):
+        def refuse(n, signs):
+            raise AssertionError("enumerate_regions decoded a sign vector")
 
-        monkeypatch.setattr(shi, "_distances", refuse)
+        monkeypatch.setattr(shi, "_decode", refuse)
         assert len(enumerate_regions(4)) == 125
 
     def test_regions_guard(self):
