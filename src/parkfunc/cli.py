@@ -5,6 +5,12 @@ switches any of them from human-readable text to a single structured record
 on stdout.  Exit codes: 0 success (or a true answer), 1 a false answer or a
 failed verification/simulation, 2 invalid input, 3 guard-range violation,
 130 interrupted (Ctrl-C).
+
+Each word is parsed and checked once, at this edge.  ``parse_word`` returns a
+tuple of positive ints, so each word subcommand calls the private twin of its
+public word function: the twin skips coercing the word again and keeps every
+other check and message, in the same order.  The twins are imported under the
+public names, which bench/tracer.py patches in this module.
 """
 
 import argparse
@@ -15,18 +21,12 @@ import os
 import sys
 import time
 
-from .core import (
-    format_word,
-    is_parking_function,
-    is_prime_parking_function,
-    parse_word,
-    prime_street,
-    rotated_street,
-    simulate,
-    standard_street,
-    strip_first_one,
-)
-from .cycle_lemma import decompose, iter_primes, recompose, sample_primes
+from .core import format_word, parse_word, prime_street, rotated_street, standard_street
+from .core import _is_parking_function as is_parking_function
+from .core import _is_prime_parking_function as is_prime_parking_function
+from .core import _simulate as simulate, _strip_first_one as strip_first_one
+from .cycle_lemma import _decompose_tuple as decompose, _recompose_tuple as recompose
+from .cycle_lemma import iter_primes, sample_primes
 from .enumeration import count_parking_functions, count_prime_parking_functions
 from .enumeration import verify_bijection, verify_proposition
 from .errors import GuardRangeError

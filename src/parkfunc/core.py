@@ -113,7 +113,11 @@ def is_parking_function(word):
     Entries must lie in [n] where n = len(word); an out-of-range entry is a
     domain error, not a falsy answer.  The empty word parks.
     """
-    word = _as_word(word)
+    return _is_parking_function(_as_word(word))
+
+
+def _is_parking_function(word):
+    """``is_parking_function`` on a tuple of positive ints."""
     _check_range(word, len(word))
     return _parks_sorted(sorted(word))
 
@@ -126,7 +130,11 @@ def is_prime_parking_function(word):
     The length-1 word (1,) counts as prime: the i > 1 condition is vacuous.
     The empty word is not prime: it has no 1 to delete.
     """
-    word = _as_word(word)
+    return _is_prime_parking_function(_as_word(word))
+
+
+def _is_prime_parking_function(word):
+    """``is_prime_parking_function`` on a tuple of positive ints."""
     _check_range(word, len(word))
     return _prime_sorted(sorted(word))
 
@@ -137,7 +145,11 @@ def strip_first_one(word):
     A word over [n-1] containing a 1 is a prime parking function exactly when
     the stripped word is a parking function of length n-1.
     """
-    word = _as_word(word)
+    return _strip_first_one(_as_word(word))
+
+
+def _strip_first_one(word):
+    """``strip_first_one`` on a tuple of positive ints."""
     try:
         i = word.index(1)
     except ValueError:
@@ -187,8 +199,11 @@ def simulate(word, street):
     and the simulation stops.  Every preference must occur among the street's
     labels.
     """
-    word = _as_word(word)
-    street = _as_word(street, what="street")
+    return _simulate(_as_word(word), _as_word(street, what="street"))
+
+
+def _simulate(word, street):
+    """``simulate`` on a word and a street that are tuples of positive ints."""
     first_pos = _first_positions(street)
     for x in word:
         if x not in first_pos:

@@ -34,9 +34,11 @@ class Decomposition(NamedTuple):
     b: tuple
 
 
-def _shift_word(word, needs):
-    """word as a tuple over [n-1], n = len(word) >= 2; ``needs`` opens the length error."""
-    word = _as_word(word)
+def _shift_range(word, needs):
+    """Refuse a tuple of positive ints unless it lies over [n-1], n = len(word) >= 2.
+
+    ``needs`` opens the length error.  Returns the word.
+    """
     if len(word) < 2:
         raise ValueError(f"{needs} a word of length >= 2")
     _check_range(word, len(word) - 1)
@@ -50,7 +52,7 @@ def scores(q):
     (n-1)(i-d) = n(q_i - q_d), impossible for i != d since n and n-1 are
     coprime and |i-d| < n.  A tie therefore indicates a bug, not bad input.
     """
-    q = _shift_word(q, "scores need")
+    q = _shift_range(_as_word(q), "scores need")
     n = len(q)
     if any(q[i] > q[i + 1] for i in range(n - 1)):
         raise ValueError("scores expect a nondecreasing word")
@@ -78,7 +80,12 @@ def decompose(word):
     first is checked on every call, on the sorted b, and a failure raises
     ``InvariantError`` (also under ``python -O``).
     """
-    return _decompose(_shift_word(word, "decompose needs"))
+    return _decompose_tuple(_as_word(word))
+
+
+def _decompose_tuple(word):
+    """``decompose`` on a tuple of positive ints."""
+    return _decompose(_shift_range(word, "decompose needs"))
 
 
 def _shift(q):
@@ -114,7 +121,12 @@ def _decompose(word):
 
 def recompose(b, k):
     """Inverse of decompose: a_i = ((b_i + k - 2) mod (n-1)) + 1."""
-    b = _shift_word(b, "recompose needs")
+    return _recompose_tuple(_as_word(b), k)
+
+
+def _recompose_tuple(b, k):
+    """``recompose`` on a tuple b of positive ints."""
+    _shift_range(b, "recompose needs")
     _check_k(k, len(b), "shift")
     return _recompose(b, k)
 

@@ -150,6 +150,27 @@ MUTANTS = (
         ("tests/test_rejections.py::test_entry_rejections",),
     ),
     Mutant(
+        "check-twin-no-range", "core.py",
+        "_check_range(word, len(word))\n    return _parks_sorted",
+        "return _parks_sorted",
+        ("tests/test_cli.py::TestByteExactOutput::test_transcript[check --word 1,5,1]",
+         "tests/test_cli.py::TestSurface::test_long_word_transcripts_are_unchanged[check]"),
+    ),
+    Mutant(
+        "decompose-twin-no-range", "cycle_lemma.py",
+        'return _decompose(_shift_range(word, "decompose needs"))',
+        "return _decompose(word)",
+        ("tests/test_cli.py::TestByteExactOutput::test_transcript[decompose --word 1,2 --json]",
+         "tests/test_cli.py::TestSurface::test_long_word_transcripts_are_unchanged[decompose]"),
+    ),
+    Mutant(
+        "recompose-twin-no-k-check", "cycle_lemma.py",
+        '    _check_k(k, len(b), "shift")\n',
+        "",
+        ("tests/test_cli.py::TestByteExactOutput::test_transcript"
+         "[recompose --word 1,2,1 --k 3 --json]",),
+    ),
+    Mutant(
         "decompose-first-maximum", "cycle_lemma.py",
         "if x - i >= top:",
         "if x - i > top:",

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import parkfunc.cli
+import parkfunc.core
 import parkfunc.cycle_lemma
 import parkfunc.shi
 from parkfunc import format_word
@@ -135,6 +137,25 @@ TRANSCRIPTS = [
     (('simulate', '--word', '1,3,3', '--street', 'prime', '--json'), 2, '', 'error: preference 3 does not appear on the street\n'),
     (('strip', '--word', '2,2'), 2, '', 'error: word has no entry equal to 1, nothing to strip\n'),
     (('strip', '--word', '2,2', '--json'), 2, '', 'error: word has no entry equal to 1, nothing to strip\n'),
+    # Inputs that break more than one rule: which check fires first.
+    (('decompose', '--word', '5'), 2, '', 'error: decompose needs a word of length >= 2\n'),
+    (('decompose', '--word', '5', '--json'), 2, '', 'error: decompose needs a word of length >= 2\n'),
+    (('recompose', '--word', '3', '--k', '5'), 2, '', 'error: recompose needs a word of length >= 2\n'),
+    (('recompose', '--word', '3', '--k', '5', '--json'), 2, '', 'error: recompose needs a word of length >= 2\n'),
+    (('recompose', '--word', '1,3,1', '--k', '9'), 2, '', 'error: word entry 3 exceeds the allowed maximum label 2\n'),
+    (('recompose', '--word', '1,3,1', '--k', '9', '--json'), 2, '', 'error: word entry 3 exceeds the allowed maximum label 2\n'),
+    (('simulate', '--word', '3', '--street', 'prime'), 2, '', 'error: prime street needs n >= 2\n'),
+    (('simulate', '--word', '3', '--street', 'prime', '--json'), 2, '', 'error: prime street needs n >= 2\n'),
+    (('simulate', '--word', '9', '--street', 'rotated', '--k', '1'), 2, '', 'error: rotated street needs n >= 2\n'),
+    (('simulate', '--word', '9', '--street', 'rotated', '--k', '1', '--json'), 2, '', 'error: rotated street needs n >= 2\n'),
+    (('simulate', '--word', '9,9,9', '--street', 'rotated', '--k', '5'), 2, '', 'error: rotation k must lie in [1, 2], got 5\n'),
+    (('simulate', '--word', '9,9,9', '--street', 'rotated', '--k', '5', '--json'), 2, '', 'error: rotation k must lie in [1, 2], got 5\n'),
+    (('simulate', '--word', '9,9', '--street', 'rotated'), 2, '', 'error: the rotated street requires --k\n'),
+    (('simulate', '--word', '9,9', '--street', 'rotated', '--json'), 2, '', 'error: the rotated street requires --k\n'),
+    (('check', '--word', '9'), 2, '', 'error: word entry 9 exceeds the allowed maximum label 1\n'),
+    (('check', '--word', '9', '--json'), 2, '', 'error: word entry 9 exceeds the allowed maximum label 1\n'),
+    (('check', '--word', '9', '--prime'), 2, '', 'error: word entry 9 exceeds the allowed maximum label 1\n'),
+    (('check', '--word', '9', '--prime', '--json'), 2, '', 'error: word entry 9 exceeds the allowed maximum label 1\n'),
     (('sample', '--n', '4', '--seed', '1', '--count', '0', '--json'), 2, '', 'error: --count must be at least 1\n'),
     (('sample', '--n', '4', '--json'), 2, '', 'error: --seed is required with --json for reproducibility\n'),
     (('sample', '--n', '1', '--seed', '1', '--json'), 2, '', 'error: sampling needs n >= 2\n'),
@@ -156,6 +177,24 @@ class TestByteExactOutput:
         code, out, err = invoke(capsys, "check", "--word", f"1,{entry}", "--json")
         assert (code, out) == (2, "")
         assert err == f"error: bad word entry '{entry[:20]}\u2026': expected a positive integer\n"
+
+
+WORD_SUBCOMMANDS = ("check", "decompose", "recompose", "simulate", "strip")
+
+
+class TestValidateOnce:
+    # parse_word returns a tuple of positive ints; nothing after it may coerce
+    # that word again, and every answer and message stays the same.
+    @pytest.mark.parametrize(
+        "argv,code,out,err", [t for t in TRANSCRIPTS if t[0][0] in WORD_SUBCOMMANDS],
+        ids=[" ".join(t[0]) for t in TRANSCRIPTS if t[0][0] in WORD_SUBCOMMANDS])
+    def test_the_cli_coerces_no_parsed_word(self, capsys, monkeypatch, argv, code, out, err):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a parsed word was coerced again: {args}")
+
+        for module in (parkfunc.core, parkfunc.cycle_lemma):
+            monkeypatch.setattr(module, "_as_word", refuse)
+        assert invoke(capsys, *argv) == (code, out, err)
 
 
 # One --json request per word subcommand and outcome: (argv, exit code).
@@ -533,6 +572,49 @@ def surface(parser):
     ]
 
 
+def long_words(n, seed):
+    """Four seeded words of n entries, and a shift k in [n-1].
+
+    A uniform word over [n-1] and a prime parking function (so also a parking
+    function with a 1), each as drawn and with its last entry set to n + 1,
+    which every word subcommand's range refuses.
+    """
+    rng = random.Random(seed)
+    uniform = [rng.randint(1, n - 1) for _ in range(n)]
+    # Its i-th entry is at most i - 1 (the first is 1): prime once sorted.
+    prime = [1] + [rng.randint(1, i - 1) for i in range(2, n + 1)]
+    rng.shuffle(prime)
+    words = [w[:-1] + [last] for w in (uniform, prime) for last in (w[-1], n + 1)]
+    return words, rng.randint(1, n - 1)
+
+
+LONG_REQUESTS = {
+    "check": lambda word, k: ("check", "--word", word),
+    "check --prime": lambda word, k: ("check", "--word", word, "--prime"),
+    "decompose": lambda word, k: ("decompose", "--word", word),
+    "recompose": lambda word, k: ("recompose", "--word", word, "--k", k),
+    "simulate": lambda word, k: ("simulate", "--word", word),
+    "simulate prime": lambda word, k: ("simulate", "--word", word, "--street", "prime"),
+    "simulate rotated": lambda word, k: ("simulate", "--word", word, "--street", "rotated",
+                                         "--k", k),
+    "strip": lambda word, k: ("strip", "--word", word),
+}
+
+
+# SHA-256 of the (exit, stdout, stderr) of each word subcommand, in both
+# views, over the long words of `long_words`, in order.
+LONG_DIGESTS = {
+    "check": "75f01c2d20db9e4998e0d607db262046310ab88123a81dd0f336cd2a42b5e907",
+    "check --prime": "35367573fec4c52257e29ed3a098cc7abee5010621bb5d01c9f5c5a6ef8ce25d",
+    "decompose": "348da62b02101249a48d95ed97c63a6c3006f1d9dde9a58962b5b33969ad7ec9",
+    "recompose": "74ae1d7e4d89b6e8ce1ebc5096d90dfd9c241dc94a95820825bd2acd0c64d240",
+    "simulate": "58ef40d6eefea161426e664a9bd06f219f6d54748543a4ca6222250fd3a10c7e",
+    "simulate prime": "b578de2f234b06275e8e445e22d09f2186c537d83c5122791ce37d058d362569",
+    "simulate rotated": "bf8319376d138b7eaf74591c1039a7e339581fbd2aaa9a5a9eb95d547b3cb2d7",
+    "strip": "0d210c7cbfcb5be6bcd7fa5373b2030bcb65dad1dc081d025eb206ae0147b5f8",
+}
+
+
 class TestSurface:
     def test_every_parser_keeps_its_flags(self):
         parser = parkfunc.cli.build_parser()
@@ -555,6 +637,17 @@ class TestSurface:
         code, out, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("name", LONG_DIGESTS)
+    def test_long_word_transcripts_are_unchanged(self, capsys, name):
+        digest = hashlib.sha256()
+        for n, seed in [(64, 1), (512, 2), (2048, 3)]:
+            words, k = long_words(n, seed)
+            for word in words:
+                for view in [(), ("--json",)]:
+                    argv = LONG_REQUESTS[name](",".join(map(str, word)), str(k)) + view
+                    digest.update(repr(invoke(capsys, *argv)).encode())
+        assert digest.hexdigest() == LONG_DIGESTS[name]
 
 
 class TestParserReuse:
