@@ -15,24 +15,19 @@ unchecked kernels behind the predicates and ``decompose``/``recompose``; the
 public functions validate their input once and then call the same kernels.
 The proposition needs only the shift of each sorted word, so it reads the
 shift kernel ``_shift`` that ``decompose`` reads k by, and builds no prime
-part.  The bijection covers each word through its orbit under
-permutations of positions: decompose is equivariant by construction (k is
-read from the sorted word and b is an entrywise map of the word), so
-decompose(σa) = (k, σb), and the congruence gives matched orbits the same
-size (see ``verify_bijection``).  The test suite checks
-equivariance word by word for small n, and these oracles against full word
-scans and, above the scans' reach, the closed forms.
-
-The proposition is checked for every word: whether a word parks on a
-rotated street regardless of the order of its cars is part of what it
-asserts, so the orbit reduction is not used there.  Instead the words are
-parked on all n-1 rotated streets at once, one car per round, as a set of
-distinct pairs (the streets' occupied-spot masks, the multiset of cars so
-far).  Parking is online, so the pairs after t cars are exactly the
-outcomes of all words of t cars, and words that share a pair share their
-whole future.  Pairs that share only their masks share the masks' future,
-so each call parks the cars on every mask state once, in a successor table
-that every round reads.
+part.  So all three oracles rest on sorted words: the counts decide each
+family on the sorted word, and both verifiers run over one sorted word per
+orbit under permutations of positions.  The bijection may, because
+decompose is equivariant by construction (k is read from the sorted word
+and b is an entrywise map of the word), so decompose(σa) = (k, σb), and
+the congruence gives matched orbits the same size (see
+``verify_bijection``).
+The proposition may, because in each call it first checks that parking is
+order-independent, rather than assuming it: every two of the parking
+columns, which move every car on every street, must commute (see
+``verify_proposition``).  The test suite checks equivariance word by word
+for small n, and these oracles against full word scans and, above the
+scans' reach, the closed forms.
 """
 
 import itertools
@@ -211,55 +206,39 @@ def verify_proposition(n, force=False):
 
     Exactly one rotation k in [n-1] of the street
     k, k, k+1, ..., n-1, 1, ..., k-1 lets every car park, and that rotation
-    is the decomposition's shift.  Every word is parked on every street, so
-    nothing is assumed about the order of the cars.  The expected shift is
-    looked up by the word's multiset code sum((n+1)^(x-1)), from the
-    unchecked shift kernel ``_shift`` on each sorted word (generated in
-    range): decompose reads k by the same kernel, from the sorted word, so
-    no prime part is built here.
+    is the decomposition's shift, read from the unchecked shift kernel
+    ``_shift`` on each sorted word (generated in range): decompose reads k
+    by the same kernel, from the sorted word, so no prime part is built here.
 
-    The check runs over one set of pairs (masks, code): masks holds each
-    street's state, its occupied-spot bitmask or dead = 2^n once a car has
-    left that street, and code is the multiset code of the cars so far.
-    Where a car goes depends only on the spot f where its label first sits,
-    so each call builds n shared transition columns after[f][state]
-    (``_park_column``), and car p moves street s through the column of its
-    first p.  The set starts as {(empty streets, 0)}, and each of n rounds
-    parks one more car p in [n-1] on every street of every pair and adds
-    (n+1)^(p-1) to its code.  Parking is online: a word's outcome after t+1
-    cars is its outcome after t cars with the last car parked on top.  So,
-    by induction on t, the set after t rounds is exactly {(the word's
-    outcome on every street, its code)} over all words of t cars, and
-    checking every final pair checks every word: its open streets must be
-    exactly [shift_of[code]].  Words that reach the same pair are checked
-    once.  A round's next masks depend on the masks alone, so each call
-    fills succ[masks] = [(next masks, step) for each car] once per joint
-    state, the first time a round meets it, and the rounds read that table;
-    the set of pairs each round makes, and so the induction, is unchanged.
+    A street's state is its occupied-spot mask, or dead = 2^n once a car has
+    left it.  Where a car goes depends only on the spot f where its label
+    first sits, so every car's move on every street is one of the n columns
+    after[f][state] (``_park_column``) built per call.  The check first
+    reads every pair of columns on every state, dead included, and fails
+    unless each pair commutes.  Then a word's state on a street is the
+    composition of its cars' columns, which commute, so it does not depend
+    on the order of the cars: every word of an orbit leaves each street in
+    its sorted word's state.  So parking each sorted word on every street
+    checks every word: its open streets must be exactly [its shift].
     Guarded to n <= 9.
     """
     check_guard("verify_proposition", n, 2, 9, force)
-    m = n - 1
-    steps = [(n + 1) ** (p - 1) for p in range(1, n)]
-    step_of = [None, *steps]
-    shift_of = {
-        sum(map(step_of.__getitem__, q)): _shift(q) for q in _sorted_words(m, n)
-    }
     dead = 1 << n
     after = [_park_column(n, f) for f in range(n)]
-    first = [_first_positions(rotated_street(n, k)) for k in range(1, n)]
-    # moves[p - 1][s]: the column car p moves street s through.
-    moves = [[after[fp[p]] for fp in first] for p in range(1, n)]
-    succ = {}
-    pairs = {((0,) * m, 0)}
-    for _ in range(n):
-        for masks in {masks for masks, _ in pairs} - succ.keys():
-            succ[masks] = [(tuple(map(list.__getitem__, row, masks)), step)
-                           for row, step in zip(moves, steps)]
-        pairs = {(nxt, code + step) for masks, code in pairs for nxt, step in succ[masks]}
-    for masks, code in pairs:
-        k = shift_of[code]
-        # Check k's range first: k = 0 would read the last street.
-        if not 1 <= k <= m or masks[k - 1] == dead or masks.count(dead) != m - 1:
+    for a, b in itertools.combinations(after, 2):
+        if list(map(a.__getitem__, b)) != list(map(b.__getitem__, a)):
+            return False
+    # columns[k - 1][x]: the column car x moves street k through.
+    columns = [{x: after[f] for x, f in _first_positions(rotated_street(n, k)).items()}
+               for k in range(1, n)]
+    for q in _sorted_words(n - 1, n):
+        open_streets = []
+        for k, column in enumerate(columns, start=1):
+            state = 0
+            for x in q:
+                state = column[x][state]
+            if state != dead:
+                open_streets.append(k)
+        if open_streets != [_shift(q)]:
             return False
     return True

@@ -32,6 +32,12 @@ _DECODE_UP_CLOSURE = """\
             m[p] = m[p + 1]
 """
 
+_COMMUTATION_CHECK = """\
+    for a, b in itertools.combinations(after, 2):
+        if list(map(a.__getitem__, b)) != list(map(b.__getitem__, a)):
+            return False
+"""
+
 MUTANTS = (
     Mutant(
         "encode-always-bounded", "shi.py",
@@ -69,6 +75,32 @@ MUTANTS = (
          "[plus set not up-closed]",),
     ),
     Mutant(
+        "from-string-any-char", "shi.py",
+        'if set(text) - {"+", "-"}:',
+        "if False:",
+        ("tests/test_shi.py::TestFeasibility::test_from_string_takes_only_plus_and_minus[letter]",
+         "tests/test_shi.py::TestFeasibility::test_from_string_takes_only_plus_and_minus"
+         "[letter and length]"),
+    ),
+    Mutant(
+        "sign-vector-accepts-floats", "shi.py",
+        " or not set(map(type, signs)) <= {int}",
+        "",
+        ("tests/test_shi.py::TestFeasibility::test_sign_vector_validation[floats]",),
+    ),
+    Mutant(
+        "pak-stanley-bounded-not-prime", "shi.py",
+        "\n            or region.bounded and not _prime_sorted(q)",
+        "",
+        ("tests/test_shi.py::test_verify_pak_stanley_rejects_a_tampered_stream[3]",),
+    ),
+    Mutant(
+        "guard-accepts-truthy-force", "errors.py",
+        "if not isinstance(force, bool):",
+        "if False:",
+        ("tests/test_source.py::test_force_must_be_a_bool",),
+    ),
+    Mutant(
         "prime-count-n1-empty-space", "enumeration.py",
         "_count_under(max(n - 1, 1), (1, *range(1, n)))",
         "_count_under(n - 1, (1, *range(1, n)))",
@@ -102,21 +134,28 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_recurrence_matches_the_closed_forms[parking-2]",),
     ),
     Mutant(
-        "proposition-no-shift-range", "enumeration.py",
-        "if not 1 <= k <= m or masks[k - 1] == dead",
-        "if masks[k - 1] == dead",
-        ("tests/test_enumeration.py::test_wrong_shift_fails_both_verifiers[verify_proposition]",),
+        "proposition-no-commutation-check", "enumeration.py",
+        _COMMUTATION_CHECK,
+        "",
+        ("tests/test_enumeration.py::test_a_free_spot_read_as_dead_fails_where_a_word_reads_it"
+         "[3]",),
     ),
     Mutant(
         "proposition-moved-shift", "enumeration.py",
-        "_shift(q) for q in _sorted_words(m, n)",
-        "_shift(q) % m + 1 for q in _sorted_words(m, n)",
+        "!= [_shift(q)]",
+        "!= [_shift(q) % (n - 1) + 1]",
         ("tests/test_enumeration.py::test_verify_proposition",),
     ),
     Mutant(
-        "proposition-stale-successors", "enumeration.py",
-        "row, masks",
-        "row, (0,) * m",
+        "proposition-no-open-street", "enumeration.py",
+        "if state != dead:",
+        "if state == dead:",
+        ("tests/test_enumeration.py::test_verify_proposition",),
+    ),
+    Mutant(
+        "proposition-streets-from-zero", "enumeration.py",
+        "enumerate(columns, start=1)",
+        "enumerate(columns)",
         ("tests/test_enumeration.py::test_verify_proposition",),
     ),
     Mutant(
@@ -124,12 +163,6 @@ MUTANTS = (
         "if not 1 <= k <= m or operator.itemgetter",
         "if operator.itemgetter",
         ("tests/test_enumeration.py::test_wrong_shift_fails_both_verifiers[verify_bijection]",),
-    ),
-    Mutant(
-        "proposition-no-open-street", "enumeration.py",
-        "1 <= k <= m or masks[k - 1] == dead or",
-        "1 <= k <= m or",
-        ("tests/test_enumeration.py::test_one_wrong_orbit_fails_every_verifier[3-first]",),
     ),
     Mutant(
         "parks-sorted-strict", "core.py",
@@ -148,6 +181,18 @@ MUTANTS = (
         "not isinstance(x, int) or isinstance(x, bool) or x < 1",
         "not isinstance(x, int) or x < 1",
         ("tests/test_rejections.py::test_entry_rejections",),
+    ),
+    Mutant(
+        "parse-word-accepts-zero", "core.py",
+        "if 0 not in word:",
+        "if True:",
+        ("tests/test_core.py::TestWordLiterals::test_rejects_garbage[0,1]",),
+    ),
+    Mutant(
+        "simulate-refills-its-spot", "core.py",
+        "nxt[pos] = pos + 1",
+        "nxt[pos] = pos",
+        ("tests/test_core.py::TestSimulate::test_standard_street_fifteen",),
     ),
     Mutant(
         "check-twin-no-range", "core.py",

@@ -156,7 +156,7 @@ def test_proposition_agrees_with_word_scan(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_each_sorted_word_parks_on_its_shift_street_alone(n):
     # The proposition on one word per orbit, parked car by car by simulate
-    # rather than through verify_proposition's tables, past the word scan.
+    # rather than through verify_proposition's columns, past the word scan.
     streets = [rotated_street(n, k) for k in range(1, n)]
     for q in _sorted_words(n - 1, n):
         parks = [k for k, street in enumerate(streets, start=1) if simulate(q, street).success]
@@ -242,8 +242,8 @@ def _wrong_on_orbit(right, moved, q):
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_one_wrong_orbit_fails_every_verifier(monkeypatch, n, place):
-    # The merged (masks, code) pairs of the proposition check, and the
-    # prime set of the bijection check, must not hide a single bad orbit.
+    # The sorted-word pass of the proposition check, and the prime set of
+    # the bijection check, must not hide a single bad orbit.
     reps = list(_sorted_words(n - 1, n))
     q = {"first": reps[0], "middle": reps[len(reps) // 2], "last": reps[-1]}[place]
     # The library's proposition reads k through the shift kernel alone.
@@ -297,8 +297,8 @@ def _swapped(rotated_street, k, i, j):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_street_swaps_give_the_word_scan_verdict(monkeypatch, n):
-    # The prefix-shared scan must see a wrong street exactly where parking
-    # every word from scratch does.
+    # The commutation check and the sorted-word pass must see a wrong street
+    # exactly where parking every word from scratch does.
     real = parkfunc.enumeration.rotated_street
     verdicts = set()
     for k in range(1, n):
@@ -330,9 +330,11 @@ def _shift_path_entries(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_free_spot_read_as_dead_fails_where_a_word_reads_it(monkeypatch, n):
-    # Killing a street early changes no verdict on a street the word leaves
-    # anyway, so one corrupted entry must fail exactly when some word reads
-    # it on the street of its shift, where every car must park.
+    # One corrupted entry must fail wherever some word reads it on the
+    # street of its shift, where every car must park: the sorted-word pass
+    # reads only the sorted words' paths, so the commutation check must
+    # catch the rest.  That check reads every state on purpose, so every
+    # free spot read as dead fails, on a word's path or not.
     real = parkfunc.enumeration._park_column
     dead = 1 << n
     failed = set()
@@ -351,7 +353,9 @@ def test_a_free_spot_read_as_dead_fails_where_a_word_reads_it(monkeypatch, n):
             if verify_proposition(n) is False:
                 failed.add((f, mask))
     assert (0, 0) in failed
-    assert failed == _shift_path_entries(n)
+    assert _shift_path_entries(n) <= failed
+    assert failed == {(f, mask) for f in range(n)
+                      for mask, target in enumerate(real(n, f)[:dead]) if target != dead}
 
 
 # Word-by-word checks of the two facts the orbit oracles rest on.

@@ -32,3 +32,9 @@ def test_each_mutant_replaces_one_text_and_names_its_tests(mutant):
         path, *names = node.partition("[")[0].split("::")
         assert (REPO / path).is_file(), node
         assert names and _defines(REPO / path, names), node
+
+
+def test_every_library_module_has_a_row():
+    # A module that no row mutates has no check that its tests catch a fault.
+    modules = {path.name for path in SRC.glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert modules - {mutant.file for mutant in MUTANTS} == set()

@@ -200,6 +200,14 @@ class TestFeasibility:
             SignVector.from_string(2, text)
         assert str(exc.value) == f"sign string must be a str, got {type(text).__name__}"
 
+    # "+x+" also has the wrong length for n=2: the character check comes first.
+    @pytest.mark.parametrize("text", ["+x", "+ -", "+-\n", "+x+"],
+                             ids=["letter", "space", "newline", "letter and length"])
+    def test_from_string_takes_only_plus_and_minus(self, text):
+        with pytest.raises(ValueError) as exc:
+            SignVector.from_string(2, text)
+        assert str(exc.value) == "sign string may contain only + and -"
+
 
 class TestDecoder:
     # Each n=3 vector breaks one condition of a region and meets the other
